@@ -37,7 +37,7 @@ Result<Dataset> Dataset::FromTable(std::shared_ptr<const Table> table,
     if (!options.spill_directory.empty()) {
       registry.SetSpillDirectory(options.spill_directory);
     }
-    dataset.service_ = registry.Acquire(dataset.table_);
+    dataset.service_ = registry.Acquire(dataset.table_, dataset.fingerprint_);
   }
   return dataset;
 }

@@ -14,7 +14,7 @@ ValueId SharedInterner::Lookup(int attr, std::string_view value) const {
   const ValueId base = table_->dictionary(attr).Lookup(value);
   if (!IsNull(base)) return base;
   const AttrLog& log = added_[static_cast<size_t>(attr)];
-  auto it = log.index.find(std::string(value));
+  auto it = log.index.find(value);
   return it == log.index.end() ? kNullValue : it->second;
 }
 
@@ -67,12 +67,11 @@ ValueId SharedInterner::Batch::Intern(int attr, std::string_view value) {
   const ValueId known = committed_->Lookup(attr, value);
   if (!IsNull(known)) return known;
   AttrStage& stage = staged_[static_cast<size_t>(attr)];
-  std::string key(value);
-  auto it = stage.index.find(key);
+  auto it = stage.index.find(value);
   if (it != stage.index.end()) return it->second;
   const ValueId code = static_cast<ValueId>(
       committed_->NextCode(attr) + static_cast<int64_t>(stage.values.size()));
-  stage.index.emplace(std::move(key), code);
+  stage.index.emplace(value, code);
   stage.values.emplace_back(value);
   return code;
 }

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -71,8 +72,19 @@ class SharedInterner {
  private:
   friend class Batch;
 
+  // Hashes std::string keys and string_view probes alike, so index
+  // lookups by view never build a temporary string.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view value) const {
+      return std::hash<std::string_view>{}(value);
+    }
+  };
+  using ValueIndex =
+      std::unordered_map<std::string, ValueId, ViewHash, std::equal_to<>>;
+
   struct AttrLog {
-    std::unordered_map<std::string, ValueId> index;  // value -> code
+    ValueIndex index;  // value -> code
     std::vector<std::string> values;  // code = base domain + position
   };
 
@@ -109,7 +121,7 @@ class SharedInterner::Batch {
   friend class SharedInterner;
 
   struct AttrStage {
-    std::unordered_map<std::string, ValueId> index;
+    ValueIndex index;
     std::vector<std::string> values;  // code = committed NextCode + pos
   };
 

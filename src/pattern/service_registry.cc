@@ -67,7 +67,7 @@ TableFingerprint FingerprintTable(const Table& table) {
 namespace {
 
 // Approximate footprint of one registry-owned table copy: column codes
-// plus dictionary strings and their index nodes. The accountant charges
+// plus each dictionary's strings and index slots. The accountant charges
 // this alongside the engine's cache bytes so distinct-content acquires
 // cannot grow process memory past the budget with empty caches.
 int64_t ApproxTableBytes(const Table& table) {
@@ -76,11 +76,7 @@ int64_t ApproxTableBytes(const Table& table) {
   bytes += static_cast<int64_t>(n) * table.num_rows() *
            static_cast<int64_t>(sizeof(ValueId));
   for (int a = 0; a < n; ++a) {
-    const Dictionary& dict = table.dictionary(a);
-    bytes += static_cast<int64_t>(dict.size()) * 48;  // string + index
-    for (const std::string& value : dict.values()) {
-      bytes += static_cast<int64_t>(value.size());
-    }
+    bytes += table.dictionary(a).MemoryBytes();
   }
   return bytes;
 }
@@ -106,6 +102,14 @@ std::shared_ptr<CountingService> ServiceRegistry::Acquire(
     const CountingEngineOptions& options) {
   PCBL_CHECK(table != nullptr);
   const TableFingerprint fingerprint = FingerprintTable(*table);
+  return Acquire(std::move(table), fingerprint, options);
+}
+
+std::shared_ptr<CountingService> ServiceRegistry::Acquire(
+    std::shared_ptr<const Table> table, const TableFingerprint& fingerprint,
+    const CountingEngineOptions& options) {
+  PCBL_CHECK(table != nullptr);
+  PCBL_DCHECK(FingerprintTable(*table) == fingerprint);
   std::lock_guard<std::mutex> lock(mu_);
   return AcquireLocked(
       fingerprint, [&table] { return std::move(table); }, options);

@@ -161,6 +161,13 @@ class ServiceRegistry {
       std::shared_ptr<const Table> table,
       const CountingEngineOptions& options = {});
 
+  /// Same, for a caller that already holds the table's fingerprint
+  /// (which must equal FingerprintTable(*table)): the table is not
+  /// hashed a second time.
+  std::shared_ptr<CountingService> Acquire(
+      std::shared_ptr<const Table> table, const TableFingerprint& fingerprint,
+      const CountingEngineOptions& options = {});
+
   /// Adjusts the process budget and immediately enforces it.
   void SetMemoryBudget(int64_t bytes);
 

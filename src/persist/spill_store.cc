@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -439,11 +440,11 @@ std::optional<std::string> SpillStore::ReadFile(const std::string& path,
 
 bool SpillStore::WriteAtomically(const std::string& path,
                                  std::string_view bytes) {
-  uint64_t sequence = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sequence = ++temp_sequence_;
-  }
+  // Process-wide, not per store: two stores over one directory in one
+  // process (two registries) must never write the same temp file.
+  static std::atomic<uint64_t> temp_sequence{0};
+  const uint64_t sequence =
+      temp_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::string temp =
       StrCat(path, ".tmp.", static_cast<int64_t>(::getpid()), ".",
              static_cast<int64_t>(sequence));

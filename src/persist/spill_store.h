@@ -177,7 +177,6 @@ class SpillStore {
   mutable std::mutex mu_;
   SpillStoreOptions options_;
   SpillStoreStats stats_;
-  uint64_t temp_sequence_ = 0;
 };
 
 }  // namespace persist

@@ -125,9 +125,11 @@ Status TableBuilder::AddRowCodes(const std::vector<ValueId>& codes) {
   return Status::Ok();
 }
 
-ValueId TableBuilder::InternValue(int attr, std::string_view value) {
-  PCBL_CHECK(attr >= 0 && attr < num_attributes());
-  return dicts_[static_cast<size_t>(attr)]->Intern(value);
+void TableBuilder::Reserve(int64_t rows) {
+  if (rows <= 0) return;
+  for (std::vector<ValueId>& column : table_.columns_) {
+    column.reserve(column.size() + static_cast<size_t>(rows));
+  }
 }
 
 Table TableBuilder::Build() {

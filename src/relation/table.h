@@ -16,6 +16,7 @@
 #include "relation/schema.h"
 #include "relation/value.h"
 #include "util/attr_mask.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace pcbl {
@@ -106,9 +107,17 @@ class TableBuilder {
   /// Appends a row of pre-encoded codes (must be valid ids or kNullValue).
   Status AddRowCodes(const std::vector<ValueId>& codes);
 
+  /// Reserves column capacity for `rows` more rows (a hint; rows past
+  /// it still append).
+  void Reserve(int64_t rows);
+
   /// Interns `value` in the dictionary of `attr` without adding a row;
   /// useful for fixing domain contents (and therefore id order) up front.
-  ValueId InternValue(int attr, std::string_view value);
+  /// Defined here because CSV ingest calls it for every cell.
+  ValueId InternValue(int attr, std::string_view value) {
+    PCBL_CHECK(attr >= 0 && attr < num_attributes());
+    return dicts_[static_cast<size_t>(attr)]->Intern(value);
+  }
 
   int num_attributes() const { return table_.num_attributes(); }
   int64_t num_rows() const { return table_.num_rows(); }

@@ -90,6 +90,36 @@ TEST(CsvReadTest, NullLiteralPreservedWhenDisabled) {
   EXPECT_TRUE(IsNull(t->value(1, 0)));
 }
 
+TEST(CsvReadTest, OnlyUnquotedNullLiteralIsMissing) {
+  auto t = ReadCsvString("a\n\"NULL\"\nNULL\n\"\"\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 3);
+  EXPECT_FALSE(IsNull(t->value(0, 0)));
+  EXPECT_EQ(t->ValueString(0, 0), "NULL");
+  EXPECT_TRUE(IsNull(t->value(1, 0)));
+  EXPECT_TRUE(IsNull(t->value(2, 0)));  // quoted empty stays missing
+  EXPECT_EQ(t->NullCount(0), 2);
+}
+
+TEST(CsvRoundTripTest, NullValueSurvivesDefaultOptions) {
+  CsvOptions keep_null;
+  keep_null.null_literal = false;
+  auto t = ReadCsvString("a,b\nNULL,x\n,NULL\n", keep_null);
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_FALSE(IsNull(t->value(0, 0)));
+  auto back = ReadCsvString(WriteCsvString(*t));
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->num_rows(), t->num_rows());
+  for (int64_t r = 0; r < t->num_rows(); ++r) {
+    for (int a = 0; a < t->num_attributes(); ++a) {
+      EXPECT_EQ(back->value(r, a), t->value(r, a)) << "row " << r;
+      EXPECT_EQ(back->ValueString(r, a), t->ValueString(r, a));
+    }
+  }
+  EXPECT_EQ(back->NullCount(0), 1);
+  EXPECT_EQ(back->NullCount(1), 0);
+}
+
 TEST(CsvReadTest, RaggedRowFails) {
   EXPECT_FALSE(ReadCsvString("a,b\n1\n").ok());
   EXPECT_FALSE(ReadCsvString("a,b\n1,2,3\n").ok());

@@ -29,6 +29,30 @@ TEST(DictionaryTest, LookupDoesNotIntern) {
   EXPECT_FALSE(d.Contains("y"));
 }
 
+TEST(DictionaryTest, IndexGrowsAndCopiesKeepEveryId) {
+  // Enough values to grow the index several times, including the empty
+  // string, an embedded NUL and values sharing long prefixes.
+  std::vector<std::string> values = {"", std::string("a\0b", 3), "a"};
+  for (int i = 0; i < 5000; ++i) {
+    values.push_back("shared-prefix-longer-than-a-word-" + std::to_string(i));
+  }
+  Dictionary d;
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(d.Intern(values[i]), static_cast<ValueId>(i));
+  }
+  const Dictionary copy = d;
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(d.Intern(values[i]), static_cast<ValueId>(i));
+    EXPECT_EQ(copy.Lookup(values[i]), static_cast<ValueId>(i));
+    EXPECT_EQ(copy.GetString(static_cast<ValueId>(i)), values[i]);
+  }
+  EXPECT_EQ(d.size(), values.size());
+  EXPECT_EQ(copy.Lookup("shared-prefix-longer-than-a-word-5000"), kNullValue);
+  EXPECT_EQ(copy.Lookup(std::string("a\0c", 3)), kNullValue);
+  EXPECT_GT(d.MemoryBytes(),
+            static_cast<int64_t>(values.size() * sizeof(std::string)));
+}
+
 TEST(SchemaTest, CreateAndFind) {
   auto s = Schema::Create({"a", "b", "c"});
   ASSERT_TRUE(s.ok());
