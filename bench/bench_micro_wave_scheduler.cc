@@ -1,24 +1,25 @@
 // Micro-benchmark for the cross-query wave scheduler: N concurrent
-// identical searches over one shared CountingService, scheduled (merged
-// in-flight sizing waves) vs serialized (whole searches queue on the
-// service mutex — the pre-PR-5 discipline, still available as the
-// differential reference arm).
+// identical searches over one shared CountingService (their in-flight
+// sizing waves merge), against the same N searches run back to back on
+// one session — the cost of queueing whole searches behind each other.
 //
 // The headline pair runs in the *constrained-cache* regime
 // (cache_budget = 0, memoization off): there the warm cache cannot help
-// a second search at all, so the serialized baseline pays the full
-// sizing scans once per search while the scheduler's merged waves dedup
-// them across all in-flight queries — the acceptance criterion is >= 2x
-// aggregate throughput for 4 concurrent identical searches, and the
-// saving is pure work elimination, visible even on a single core. The
+// a second search at all, so the back-to-back baseline pays the full
+// sizing scans once per search while the concurrent searches dedup them
+// — the acceptance criterion is >= 2x aggregate throughput for 4
+// concurrent identical searches, and the saving is pure work
+// elimination, visible even on a single core. The baseline runs with
+// the result tier off so each of its searches really executes; the
+// concurrent arms keep the session defaults, so an identical query that
+// arrives while its twin is in flight may also park on it. The
 // default-budget pair shows the steady-state regime (one cold set of
-// scans either way; the scheduler's extra win there is ranking overlap,
-// which needs spare cores). Solo search pairs bound the scheduler's
-// overhead: with one admitted query the admission window is skipped
-// entirely.
+// scans either way; the concurrent win there is ranking overlap, which
+// needs spare cores). The solo search tracks the scheduler's overhead:
+// with one admitted query the admission window is skipped entirely.
 //
-// Byte-identity of the two disciplines is not asserted here — that is
-// the differential harness' job (wave_scheduler_test.cc).
+// Byte-identity is not asserted here — that is the differential
+// harness' job (wave_scheduler_test.cc).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -54,10 +55,9 @@ api::Dataset PrivateDataset(const Table& table) {
   return *dataset;
 }
 
-api::SessionOptions MakeOptions(bool scheduler_on, int64_t cache_budget) {
+api::SessionOptions MakeOptions(int64_t cache_budget) {
   api::SessionOptions options;
   options.num_threads = 1;
-  options.use_wave_scheduler = scheduler_on;
   options.counting_cache_budget = cache_budget;
   return options;
 }
@@ -65,8 +65,7 @@ api::SessionOptions MakeOptions(bool scheduler_on, int64_t cache_budget) {
 // One iteration: a cold shared service, kConcurrent sessions each
 // running the same search concurrently, joined. Reports the engine's
 // full-scan count and the masks the scheduler deduped away.
-void RunConcurrentSearches(benchmark::State& state, bool scheduler_on,
-                           int64_t cache_budget) {
+void RunConcurrentSearches(benchmark::State& state, int64_t cache_budget) {
   int64_t full_scans = 0;
   int64_t saved_masks = 0;
   for (auto _ : state) {
@@ -74,8 +73,7 @@ void RunConcurrentSearches(benchmark::State& state, bool scheduler_on,
     api::Dataset dataset = PrivateDataset(CompasTable());
     std::vector<std::unique_ptr<api::Session>> sessions;
     for (int i = 0; i < kConcurrent; ++i) {
-      auto session = api::Session::Open(
-          dataset, MakeOptions(scheduler_on, cache_budget));
+      auto session = api::Session::Open(dataset, MakeOptions(cache_budget));
       PCBL_CHECK(session.ok());
       sessions.push_back(std::move(*session));
     }
@@ -103,37 +101,63 @@ void RunConcurrentSearches(benchmark::State& state, bool scheduler_on,
   state.counters["searches_per_iter"] = kConcurrent;
 }
 
-// The acceptance pair: constrained cache (no memoization), where only
-// in-flight merging can eliminate scans. scheduled >= 2x serialized.
-void BM_FourSearchesSerializedNoCache(benchmark::State& state) {
-  RunConcurrentSearches(state, /*scheduler_on=*/false, /*cache_budget=*/0);
+// The baseline: the same kConcurrent searches, one after another on one
+// session over a cold shared service, result tier off so every search
+// executes. Reports the engine's full-scan count.
+void RunBackToBackSearches(benchmark::State& state, int64_t cache_budget) {
+  int64_t full_scans = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    api::Dataset dataset = PrivateDataset(CompasTable());
+    api::SessionOptions options = MakeOptions(cache_budget);
+    options.use_result_cache = false;
+    auto session = api::Session::Open(dataset, options);
+    PCBL_CHECK(session.ok());
+    state.ResumeTiming();
+    for (int i = 0; i < kConcurrent; ++i) {
+      api::QueryResult r =
+          (*session)->Run(api::QuerySpec::LabelSearch(kBound));
+      PCBL_CHECK(r.status.ok()) << r.status;
+      benchmark::DoNotOptimize(r.search.label.size());
+    }
+    state.PauseTiming();
+    full_scans = dataset.service()->StatsSnapshot().full_scans;
+    session->reset();
+    state.ResumeTiming();
+  }
+  state.counters["full_scans"] = static_cast<double>(full_scans);
+  state.counters["searches_per_iter"] = kConcurrent;
 }
-BENCHMARK(BM_FourSearchesSerializedNoCache)->Unit(benchmark::kMillisecond);
+
+// The acceptance pair: constrained cache (no memoization), where only
+// in-flight merging can eliminate scans. scheduled >= 2x back-to-back.
+void BM_FourSearchesBackToBackNoCache(benchmark::State& state) {
+  RunBackToBackSearches(state, /*cache_budget=*/0);
+}
+BENCHMARK(BM_FourSearchesBackToBackNoCache)->Unit(benchmark::kMillisecond);
 
 void BM_FourSearchesScheduledNoCache(benchmark::State& state) {
-  RunConcurrentSearches(state, /*scheduler_on=*/true, /*cache_budget=*/0);
+  RunConcurrentSearches(state, /*cache_budget=*/0);
 }
 BENCHMARK(BM_FourSearchesScheduledNoCache)->Unit(benchmark::kMillisecond);
 
-// Steady-state regime: default memoization budget. Both disciplines do
-// ~one cold set of scans; the scheduler additionally overlaps the
-// per-query ranking phases (a wall-clock win wherever cores are spare).
-void BM_FourSearchesSerializedWarm(benchmark::State& state) {
-  RunConcurrentSearches(state, /*scheduler_on=*/false, /*cache_budget=*/-1);
+// Steady-state regime: default memoization budget. Both arms do ~one
+// cold set of scans; the concurrent searches additionally overlap their
+// ranking phases (a wall-clock win wherever cores are spare).
+void BM_FourSearchesBackToBackWarm(benchmark::State& state) {
+  RunBackToBackSearches(state, /*cache_budget=*/-1);
 }
-BENCHMARK(BM_FourSearchesSerializedWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FourSearchesBackToBackWarm)->Unit(benchmark::kMillisecond);
 
 void BM_FourSearchesScheduledWarm(benchmark::State& state) {
-  RunConcurrentSearches(state, /*scheduler_on=*/true, /*cache_budget=*/-1);
+  RunConcurrentSearches(state, /*cache_budget=*/-1);
 }
 BENCHMARK(BM_FourSearchesScheduledWarm)->Unit(benchmark::kMillisecond);
 
-// Solo overhead bound: one admitted query skips the admission window,
-// so the scheduled path must track the serialized one.
-void RunSoloSearch(benchmark::State& state, bool scheduler_on) {
+// Solo overhead bound: one admitted query skips the admission window.
+void BM_SoloSearchScheduled(benchmark::State& state) {
   api::Dataset dataset = PrivateDataset(CompasTable());
-  auto session =
-      api::Session::Open(dataset, MakeOptions(scheduler_on, -1));
+  auto session = api::Session::Open(dataset, MakeOptions(-1));
   PCBL_CHECK(session.ok());
   PCBL_CHECK(
       (*session)->Run(api::QuerySpec::LabelSearch(kBound)).status.ok());
@@ -143,15 +167,6 @@ void RunSoloSearch(benchmark::State& state, bool scheduler_on) {
     PCBL_CHECK(r.status.ok());
     benchmark::DoNotOptimize(r.search.label.size());
   }
-}
-
-void BM_SoloSearchSerialized(benchmark::State& state) {
-  RunSoloSearch(state, /*scheduler_on=*/false);
-}
-BENCHMARK(BM_SoloSearchSerialized)->Unit(benchmark::kMillisecond);
-
-void BM_SoloSearchScheduled(benchmark::State& state) {
-  RunSoloSearch(state, /*scheduler_on=*/true);
 }
 BENCHMARK(BM_SoloSearchScheduled)->Unit(benchmark::kMillisecond);
 

@@ -71,8 +71,8 @@ class Dataset {
   const std::shared_ptr<const Table>& shared_table() const { return table_; }
 
   /// The dataset's counting service (registry-shared unless
-  /// DatasetOptions::private_service). Sessions serialize engine access
-  /// through its mutex(); most callers never touch it directly.
+  /// DatasetOptions::private_service). Sessions reach the engine through
+  /// its admission gate and waves; most callers never touch it directly.
   const std::shared_ptr<CountingService>& service() const {
     return service_;
   }

@@ -15,6 +15,11 @@
 // zero worker threads, a disabled engine combined with a positive
 // memoization budget — come back as Status instead of being clamped
 // silently at each call site.
+//
+// Every kind executes the same way: admitted shared through the shared
+// counting service's gate, its engine work submitted as wave-scheduler
+// batches that may merge with concurrent queries' (docs/CONCURRENCY.md).
+// The per-query engine overrides tune cost only, never result bytes.
 #ifndef PCBL_API_QUERY_H_
 #define PCBL_API_QUERY_H_
 
@@ -73,10 +78,6 @@ struct QuerySpec {
   /// (0 disables intra-subset parallelism). Result-neutral — excluded
   /// from the result-cache key like num_threads.
   std::optional<int64_t> min_rows_per_morsel;
-  /// Ride the service's wave scheduler (concurrent queries merge their
-  /// in-flight sizing batches) vs. the serialized whole-search lock.
-  /// Byte-identical results either way; see docs/CONCURRENCY.md.
-  std::optional<bool> use_wave_scheduler;
   /// Route the query through the service's result tier: identical
   /// in-flight queries collapse onto one execution, identical repeats
   /// answer from the bounded completed-result cache. Byte-identical
@@ -183,8 +184,7 @@ bool QuerySpecCacheable(const QuerySpec& spec);
 /// terms are sorted by (name, value), the focus set hashes by mask
 /// bits — and a default left implicit keys identically to the same
 /// value spelled out. Knobs that cannot change result bytes (threads,
-/// engine/memoization flags, scheduler, the result-cache flags
-/// themselves) and kTrueCount's consumer-side `label` (the data-backed
+/// engine/memoization flags, the result-cache flags themselves) and kTrueCount's consumer-side `label` (the data-backed
 /// count is label-independent; the estimate is merged per caller) are
 /// excluded. Deterministic across processes: no pointers, no
 /// container-iteration order. Precondition: QuerySpecCacheable(spec).

@@ -1,7 +1,6 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "core/pattern_set.h"
@@ -25,28 +24,11 @@ Status EvictedServiceStatus() {
       "service is acquired) and retry the query");
 }
 
-// Holds one query's admission for its whole execution: a shared gate
-// admission (scheduled) or the whole-query service lock (serialized).
-struct QueryAdmissionGuard {
-  std::optional<CountingService::QueryAdmission> admission;
-  std::unique_lock<std::mutex> lock;
-};
-
-// The one admission protocol of every query kind. Serialized queries
-// that want the engine configured up front pass `config` (the
-// scheduled path carries its config per wave instead). After admission
-// the evicted flag is re-checked: an eviction that raced the fast path
-// in Session::Execute either drained this query (it was admitted
+// The post-admission half of every query kind's admission protocol
+// (the caller holds a QueryAdmission): an eviction that raced the fast
+// path in Session::Execute either drained this query (it was admitted
 // first) or is visible here — the registry marks before it quiesces.
-Status AdmitQuery(CountingService& service, bool scheduled,
-                  const CountingEngineOptions* config,
-                  QueryAdmissionGuard* guard) {
-  if (scheduled) {
-    guard->admission.emplace(service);
-  } else {
-    guard->lock = std::unique_lock<std::mutex>(service.mutex());
-    if (config != nullptr) service.Configure(*config);
-  }
+Status CheckAdmitted(const CountingService& service) {
   if (service.evicted()) return EvictedServiceStatus();
   return Status::Ok();
 }
@@ -142,7 +124,6 @@ SearchOptions Session::ToSearchOptions(const QuerySpec& spec) const {
   options.metric = spec.metric;
   options.time_limit_seconds = spec.time_limit_seconds;
   options.record_candidates = spec.record_candidates;
-  options.use_wave_scheduler = UseScheduler(spec);
   options.num_threads = spec.num_threads.value_or(options_.num_threads);
   options.use_counting_engine =
       spec.use_counting_engine.value_or(options_.use_counting_engine);
@@ -217,8 +198,7 @@ QueryResult Session::Execute(const QuerySpec& spec) {
 }
 
 QueryResult Session::ExecuteViaResultTier(
-    const QuerySpec& spec, bool scheduled,
-    const std::function<QueryResult()>& body) {
+    const QuerySpec& spec, const std::function<QueryResult()>& body) {
   CountingService& service = *dataset_.service();
   const bool cache_on =
       spec.use_result_cache.value_or(options_.use_result_cache);
@@ -236,10 +216,7 @@ QueryResult Session::ExecuteViaResultTier(
   const int64_t budget = spec.result_cache_budget.has_value()
                              ? *spec.result_cache_budget
                              : options_.result_cache_budget;
-  // Only a gate-admitted (scheduled) query may park on a leader: the
-  // serialized discipline holds mutex(), which the leader's waves need.
-  ResultProbe probe =
-      service.ResultLookupOrBegin(key, rows, /*may_join=*/scheduled, budget);
+  ResultProbe probe = service.ResultLookupOrBegin(key, rows, budget);
   if (probe.hit) {
     return *std::static_pointer_cast<const QueryResult>(probe.value);
   }
@@ -260,37 +237,28 @@ QueryResult Session::ExecuteViaResultTier(
                           /*cache=*/shared->status.ok());
     return *shared;
   }
-  if (probe.join.valid()) {
-    return *std::static_pointer_cast<const QueryResult>(probe.join.get());
-  }
-  // In flight but this caller may not park: execute without publishing.
-  return body();
+  // An identical query is in flight: park on its leader. The leader
+  // holds only its own shared admission, so it always makes progress.
+  return *std::static_pointer_cast<const QueryResult>(probe.join.get());
 }
 
 QueryResult Session::ExecuteSearch(const QuerySpec& spec) {
   CountingService& service = *dataset_.service();
-  const bool scheduled = UseScheduler(spec);
-  // Scheduled: a shared admission pins the engine's data (appends are
-  // excluded) for the whole query while sizing waves merge with
-  // concurrent queries'. Serialized: the whole query runs under the
-  // service lock. The search configures the engine itself, so no
-  // up-front config is passed.
-  QueryAdmissionGuard guard;
-  Status admitted =
-      AdmitQuery(service, scheduled, /*config=*/nullptr, &guard);
+  // A shared admission pins the engine's data (appends are excluded) for
+  // the whole query while sizing waves merge with concurrent queries'.
+  CountingService::QueryAdmission admission(service);
+  Status admitted = CheckAdmitted(service);
   if (!admitted.ok()) {
     QueryResult result;
     result.kind = spec.kind;
     result.status = admitted;
     return result;
   }
-  return ExecuteViaResultTier(spec, scheduled, [&] {
-    return ExecuteSearchAdmitted(spec, scheduled);
-  });
+  return ExecuteViaResultTier(spec,
+                              [&] { return ExecuteSearchAdmitted(spec); });
 }
 
-QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec,
-                                           bool scheduled) {
+QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
@@ -309,8 +277,7 @@ QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec,
       // OverAttributes scans the base table; after appends the focus
       // set is derived from the engine's delta-aware state instead, so
       // a focus search keeps working — byte-identical to a rebuild.
-      Result<PatternSet> focus_set =
-          ExtendedFocusPatterns(spec, scheduled, *vc);
+      Result<PatternSet> focus_set = ExtendedFocusPatterns(spec, *vc);
       if (!focus_set.ok()) {
         result.status = focus_set.status();
         return result;
@@ -321,17 +288,13 @@ QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec,
     }
   }
   const SearchOptions options = ToSearchOptions(spec);
-  const bool naive = spec.algorithm == QuerySpec::Algorithm::kNaive;
-  result.search =
-      scheduled ? (naive ? search.NaiveScheduled(options)
-                         : search.TopDownScheduled(options))
-                : (naive ? search.NaiveLocked(options)
-                         : search.TopDownLocked(options));
+  result.search = spec.algorithm == QuerySpec::Algorithm::kNaive
+                      ? search.NaiveAdmitted(options)
+                      : search.TopDownAdmitted(options);
   return result;
 }
 
 Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
-                                                  bool scheduled,
                                                   const ValueCounts& vc) {
   CountingService& service = *dataset_.service();
   std::vector<Pattern> patterns;
@@ -343,10 +306,7 @@ Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
     // ascending key order (partially-bound groups carry kNullValue for
     // unbound attributes and are skipped).
     std::shared_ptr<const GroupCounts> pc =
-        scheduled
-            ? service.WavePatternCounts({spec.focus},
-                                        ToEngineOptions(spec))[0]
-            : service.engine().PatternCounts(spec.focus);
+        service.WavePatternCounts({spec.focus}, ToEngineOptions(spec))[0];
     const int width = pc->key_width();
     for (int64_t g = 0; g < pc->num_groups(); ++g) {
       const ValueId* key = pc->key(g);
@@ -398,10 +358,8 @@ QueryResult Session::ExecuteTrueCount(const QuerySpec& spec) {
     result.estimate = *estimate;
   }
   CountingService& service = *dataset_.service();
-  const bool scheduled = UseScheduler(spec);
-  const CountingEngineOptions config = ToEngineOptions(spec);
-  QueryAdmissionGuard guard;
-  Status admitted = AdmitQuery(service, scheduled, &config, &guard);
+  CountingService::QueryAdmission admission(service);
+  Status admitted = CheckAdmitted(service);
   if (!admitted.ok()) {
     result.status = admitted;
     return result;
@@ -410,15 +368,13 @@ QueryResult Session::ExecuteTrueCount(const QuerySpec& spec) {
   // never sets `estimate`): the data-backed count is label-independent,
   // so specs differing only in `label` share one cache entry and each
   // caller merges its own estimate below.
-  QueryResult counted = ExecuteViaResultTier(spec, scheduled, [&] {
-    return ExecuteTrueCountAdmitted(spec, scheduled);
-  });
+  QueryResult counted = ExecuteViaResultTier(
+      spec, [&] { return ExecuteTrueCountAdmitted(spec); });
   counted.estimate = result.estimate;  // computed service-free above
   return counted;
 }
 
-QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec,
-                                              bool scheduled) {
+QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
@@ -435,9 +391,7 @@ QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec,
     AttrMask mask;
     for (const auto& [attr, value] : *terms) mask.Set(attr);
     std::shared_ptr<const GroupCounts> pc =
-        scheduled
-            ? service.WavePatternCounts({mask}, ToEngineOptions(spec))[0]
-            : service.engine().PatternCounts(mask);
+        service.WavePatternCounts({mask}, ToEngineOptions(spec))[0];
     const int width = pc->key_width();
     for (int64_t g = 0; g < pc->num_groups(); ++g) {
       const ValueId* key = pc->key(g);
@@ -466,23 +420,18 @@ QueryResult Session::ExecuteProfile(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
-  const bool scheduled = UseScheduler(spec);
-  // The profile is one wave: admit shared and let it merge, or take the
-  // serialized lock.
-  const CountingEngineOptions config = ToEngineOptions(spec);
-  QueryAdmissionGuard guard;
-  Status admitted = AdmitQuery(service, scheduled, &config, &guard);
+  // The profile is one wave: admit shared and let it merge.
+  CountingService::QueryAdmission admission(service);
+  Status admitted = CheckAdmitted(service);
   if (!admitted.ok()) {
     result.status = admitted;
     return result;
   }
-  return ExecuteViaResultTier(spec, scheduled, [&] {
-    return ExecuteProfileAdmitted(spec, scheduled);
-  });
+  return ExecuteViaResultTier(spec,
+                              [&] { return ExecuteProfileAdmitted(spec); });
 }
 
-QueryResult Session::ExecuteProfileAdmitted(const QuerySpec& spec,
-                                            bool scheduled) {
+QueryResult Session::ExecuteProfileAdmitted(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
@@ -496,9 +445,7 @@ QueryResult Session::ExecuteProfileAdmitted(const QuerySpec& spec,
     }
   }
   const std::vector<int64_t> sizes =
-      scheduled ? service.WaveCountPatterns(masks, /*budget=*/-1,
-                                            ToEngineOptions(spec))
-                : service.engine().CountPatternsBatch(masks, /*budget=*/-1);
+      service.WaveCountPatterns(masks, /*budget=*/-1, ToEngineOptions(spec));
   result.pairs.reserve(masks.size());
   size_t k = 0;
   for (int i = 0; i < n; ++i) {

@@ -19,12 +19,11 @@
 // which merges all in-flight queries' batches into single deduped
 // engine calls — so concurrent sessions over equal data perform at most
 // one set of full-table scans between them and their ranking phases
-// overlap instead of queueing (docs/CONCURRENCY.md has the full model;
-// SessionOptions::use_wave_scheduler = false restores the serialized
-// whole-search lock, byte-identical). A query whose shared service was
-// evicted by the registry (memory pressure / Clear) is refused with a
-// retryable kUnavailable instead of silently computing on a detached
-// service — re-open the Dataset and retry.
+// overlap instead of queueing (docs/CONCURRENCY.md has the full model).
+// A query whose shared service was evicted by the registry (memory
+// pressure / Clear) is refused with a retryable kUnavailable instead of
+// silently computing on a detached service — re-open the Dataset and
+// retry.
 //
 // Appends. Session::Append / AppendRow / AppendRows route through the
 // shared service's string-level append surface
@@ -93,21 +92,12 @@ struct SessionOptions {
   /// CountingEngineOptions::min_rows_per_morsel.
   int64_t min_rows_per_morsel = -1;
 
-  /// Threads of the session's async query executor (Submit). With the
-  /// wave scheduler (the default), queries admitted concurrently merge
-  /// their sizing waves and rank in parallel, so more executor threads
-  /// buy real overlap; on the serialized path they only overlap pre-/
-  /// post-processing around the service mutex.
+  /// Threads of the session's async query executor (Submit). Queries
+  /// admitted concurrently merge their sizing waves and rank in
+  /// parallel, so more executor threads buy real overlap.
   int executor_threads = 1;
 
-  /// Queries enter the service through the admission gate and submit
-  /// their sizing waves to the shared wave scheduler: concurrent
-  /// queries — this session's and any sibling's over the same service —
-  /// merge in-flight waves into single deduped engine batches instead
-  /// of serializing whole searches on the service mutex. Disabling
-  /// reverts to the serialized whole-search lock (byte-identical
-  /// results; the differential harness' reference arm). See
-  /// docs/CONCURRENCY.md.
+  /// Ignored: every query rides the wave scheduler.
   bool use_wave_scheduler = true;
 
   /// Route queries through the service's two-level result tier:
@@ -188,19 +178,16 @@ class Session {
   Status Validate(const QuerySpec& spec) const;
 
   // Executor-side entry: refuses evicted services (retryable
-  // kUnavailable), then runs the query under the session's admission
-  // discipline — a shared QueryAdmission plus scheduler waves (the
-  // default) or the whole-query service lock (use_wave_scheduler off).
+  // kUnavailable), then runs the query under a shared QueryAdmission,
+  // its engine work submitted as scheduler waves.
   QueryResult Execute(const QuerySpec& spec);
   QueryResult ExecuteSearch(const QuerySpec& spec);
   QueryResult ExecuteTrueCount(const QuerySpec& spec);
   QueryResult ExecuteProfile(const QuerySpec& spec);
-  // Shared bodies; `scheduled` picks waves vs direct engine calls. The
-  // caller holds the matching admission (gate-shared vs mutex).
-  QueryResult ExecuteSearchAdmitted(const QuerySpec& spec, bool scheduled);
-  QueryResult ExecuteTrueCountAdmitted(const QuerySpec& spec,
-                                       bool scheduled);
-  QueryResult ExecuteProfileAdmitted(const QuerySpec& spec, bool scheduled);
+  // The bodies; the caller holds the QueryAdmission.
+  QueryResult ExecuteSearchAdmitted(const QuerySpec& spec);
+  QueryResult ExecuteTrueCountAdmitted(const QuerySpec& spec);
+  QueryResult ExecuteProfileAdmitted(const QuerySpec& spec);
 
   // Routes one admitted query through the service's result tier (cache
   // hit / park on an identical in-flight leader / execute `body` and
@@ -208,25 +195,21 @@ class Session {
   // is not cacheable. Every cacheable result is content-pure — string
   // resolution goes through the service's shared interner, so appends
   // never make a result session-dependent. The caller holds the
-  // admission matching `scheduled` for the whole call, which pins the
-  // engine rows the cache entries are tagged with.
-  QueryResult ExecuteViaResultTier(const QuerySpec& spec, bool scheduled,
+  // QueryAdmission for the whole call, which pins the engine rows the
+  // cache entries are tagged with.
+  QueryResult ExecuteViaResultTier(const QuerySpec& spec,
                                    const std::function<QueryResult()>& body);
 
   // Effective per-query knobs (spec overrides over session defaults).
   SearchOptions ToSearchOptions(const QuerySpec& spec) const;
   CountingEngineOptions ToEngineOptions(const QuerySpec& spec) const;
-  bool UseScheduler(const QuerySpec& spec) const {
-    return spec.use_wave_scheduler.value_or(options_.use_wave_scheduler);
-  }
 
   // --- maintenance state (see locking note below) ----------------------
   // Lazily materializes VC / P_A, catches them up to every row the
   // engine holds (CopyAppendedRows), and returns the snapshot the
   // caller should use (reading the members again outside state_mu_
-  // would race a sibling query's catch-up). Callers hold a query
-  // admission (gate shared or the service mutex), so the engine's data
-  // is stable.
+  // would race a sibling query's catch-up). Callers hold a
+  // QueryAdmission, so the engine's data is stable.
   std::shared_ptr<const ValueCounts> SyncedVc();
   std::shared_ptr<const FullPatternIndex> SyncedFpi();
   // The engine's appended rows in [from, to), flat row-major.
@@ -237,10 +220,9 @@ class Session {
   // derived from delta-aware state instead — the engine's PC set over
   // the focus mask (arity >= 2) or the synced VC (arity 1). Order
   // matches what OverAttributes would produce over the rebuilt table,
-  // so the ErrorReport stays byte-identical. Caller holds the admission
-  // matching `scheduled`.
+  // so the ErrorReport stays byte-identical. Caller holds the
+  // QueryAdmission.
   Result<PatternSet> ExtendedFocusPatterns(const QuerySpec& spec,
-                                           bool scheduled,
                                            const ValueCounts& vc);
 
   // Resolves (attribute name, value string) terms against the service's

@@ -43,9 +43,9 @@ Result<IncrementalLabel> IncrementalLabel::Create(
     // Pointer identity is the cheap common case (a LabelSearch's own
     // service); a registry-acquired service wraps its own copy of the
     // table, so fall back to content equality — equal fingerprints imply
-    // identical code spaces, which is all the append hook needs. (The
-    // appended-rows check happens below, under the service lock — other
-    // sessions may be appending concurrently.)
+    // identical code spaces. (The appended-rows check happens below,
+    // under a query admission — other sessions may be appending
+    // concurrently.)
     if (&service->table() != &base &&
         FingerprintTable(service->table()) != FingerprintTable(base)) {
       return InvalidArgumentError(
@@ -60,17 +60,19 @@ Result<IncrementalLabel> IncrementalLabel::Create(
   const GroupCounts* pc_ptr;
   GroupCounts local_pc;
   if (service != nullptr) {
-    // A disabled engine is fine: the append hook still tracks the rows
-    // (the engine's delta-aware scans answer exactly), it just cannot
-    // serve the seed from a warm cache.
-    std::lock_guard<std::mutex> lock(service->mutex());
-    // Checked under the lock: a service another session already grew
-    // describes more data than `base`, and this label would seed stale.
+    // The seed is one query wave under the engine's current knobs (a
+    // disabled engine still counts exactly, it just cannot serve the
+    // seed from a warm cache).
+    CountingService::QueryAdmission admission(*service);
+    // Checked under the admission: a service another session already
+    // grew describes more data than `base`, and this label would seed
+    // stale.
     if (service->engine().num_appended_rows() != 0) {
       return InvalidArgumentError(
           "counting service has already absorbed appended rows");
     }
-    shared_pc = service->engine().PatternCounts(s);
+    shared_pc = service->WavePatternCounts(
+        {s}, service->EngineOptionsSnapshot())[0];
     pc_ptr = shared_pc.get();
   } else {
     local_pc = ComputePatternCounts(base, s);
@@ -116,6 +118,11 @@ Status IncrementalLabel::AppendRow(const std::vector<std::string>& values) {
     return InvalidArgumentError(
         StrCat("row has ", values.size(), " values, schema has ", width_));
   }
+  // The service commits first (a single row takes its patch arm); a
+  // refused append leaves this label untouched.
+  if (service_ != nullptr) {
+    PCBL_RETURN_IF_ERROR(service_->AppendStrings({values}));
+  }
   std::vector<ValueId> codes(static_cast<size_t>(width_), kNullValue);
   for (int a = 0; a < width_; ++a) {
     const std::string& v = values[static_cast<size_t>(a)];
@@ -124,9 +131,6 @@ Status IncrementalLabel::AppendRow(const std::vector<std::string>& values) {
                                         .Intern(v);
   }
   ApplyRow(codes);
-  // Invalidate-or-patch hook: single-row appends take the patch arm —
-  // the service folds the restriction into every cached PC set.
-  if (service_ != nullptr) service_->AppendRow(codes);
   return Status::Ok();
 }
 
@@ -142,6 +146,12 @@ Status IncrementalLabel::AppendTable(const Table& delta) {
                  "\""));
     }
   }
+  // The service commits the whole delta as one request first (its
+  // invalidate-or-patch hook picks the arm by cost); a refused append
+  // leaves this label untouched.
+  if (service_ != nullptr) {
+    PCBL_RETURN_IF_ERROR(service_->AppendTable(delta));
+  }
   // Remap delta codes to our codes, interning fresh values lazily —
   // only values a delta row actually uses, in row-major first-seen
   // order, exactly as a TableBuilder rebuild would assign them (a
@@ -153,10 +163,6 @@ Status IncrementalLabel::AppendTable(const Table& delta) {
                                          kNullValue);  // = not yet mapped
   }
   std::vector<ValueId> codes(static_cast<size_t>(width_));
-  std::vector<std::vector<ValueId>> notified;
-  if (service_ != nullptr) {
-    notified.reserve(static_cast<size_t>(delta.num_rows()));
-  }
   for (int64_t r = 0; r < delta.num_rows(); ++r) {
     for (int a = 0; a < width_; ++a) {
       const ValueId v = delta.value(r, a);
@@ -172,13 +178,6 @@ Status IncrementalLabel::AppendTable(const Table& delta) {
       codes[static_cast<size_t>(a)] = mapped;
     }
     ApplyRow(codes);
-    if (service_ != nullptr) notified.push_back(codes);
-  }
-  // Bulk appends go through the batched hook, which invalidates instead
-  // of patching when repairing every cached entry would cost more than
-  // the rescans it saves.
-  if (service_ != nullptr && !notified.empty()) {
-    service_->AppendRows(notified);
   }
   return Status::Ok();
 }

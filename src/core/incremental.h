@@ -17,10 +17,9 @@
 //
 // This is a *low-level engine* for maintaining one label artifact. For
 // growing a dataset and re-searching it, prefer pcbl::api::Session
-// (api/session.h): it owns the append semantics of the whole stack —
-// dictionaries, VC, the full-pattern index P_A and the counting service
-// move in one critical section, so a post-append search stays
-// byte-exact against a from-scratch rebuild.
+// (api/session.h): it keeps VC and the full-pattern index P_A in step
+// with every row the shared counting service holds, so a post-append
+// search stays byte-exact against a from-scratch rebuild.
 #ifndef PCBL_CORE_INCREMENTAL_H_
 #define PCBL_CORE_INCREMENTAL_H_
 
@@ -72,12 +71,14 @@ class IncrementalLabel : public CardinalityEstimator {
   /// the B_s the label was searched under (used only for drift tracking).
   ///
   /// When `service` (the dataset's CountingService) is supplied, the
-  /// initial PC set is read through its warm cache — after a label
-  /// search over the same table this costs zero table scans — and every
-  /// append is forwarded to the service's invalidate-or-patch hook, so
-  /// the cached PC sets of *other* subsets stay exact against the grown
-  /// data instead of going stale. Attach one appending label per service:
-  /// the service counts each notified row as one dataset append.
+  /// initial PC set is read through its warm cache as one query wave —
+  /// after a label search over the same table this costs zero table
+  /// scans — and every append is committed through the service's group
+  /// commit (AppendStrings / AppendTable) *before* this label applies
+  /// it: the service interns the strings centrally and keeps the cached
+  /// PC sets of other subsets exact, and a refused append leaves the
+  /// label untouched. The label describes the base plus its own appends;
+  /// rows other appenders commit to the service are not part of it.
   static Result<IncrementalLabel> Create(
       const Table& base, AttrMask s, int64_t size_bound,
       std::shared_ptr<CountingService> service = nullptr);
@@ -140,8 +141,8 @@ class IncrementalLabel : public CardinalityEstimator {
   int64_t base_rows_ = 0;
   int64_t base_patterns_ = 0;
 
-  // Optional dataset-scoped counting service notified of every appended
-  // row (invalidate-or-patch of its cached PC sets).
+  // Optional dataset-scoped counting service every append is committed
+  // to first.
   std::shared_ptr<CountingService> service_;
 };
 

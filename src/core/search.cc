@@ -33,25 +33,40 @@ CountingEngineOptions EngineOptions(const SearchOptions& options) {
 
 }  // namespace
 
-// How the algorithm bodies reach the counting layer. Both backends keep
-// a memo of every materialized PC-set handle their waves return: the
-// ranking phase then builds candidate labels from the search's own
-// snapshot, which stays valid (shared_ptr) even if the shared cache
-// evicts the entry or — under the wave scheduler — concurrent queries
-// mutate it mid-ranking.
-class LabelSearch::Backend {
+// How the algorithm bodies reach the counting layer. Every batch goes
+// through the service's wave scheduler (the caller holds a shared
+// QueryAdmission) and may merge with concurrent queries' waves. The memo
+// keeps every materialized PC-set handle the waves return: the ranking
+// phase then builds candidate labels from the search's own snapshot,
+// which stays valid (shared_ptr) even if the shared cache evicts the
+// entry or concurrent queries mutate it mid-ranking. The engine's *data*
+// observables (effective domains, row counts) are stable under the gate;
+// its cache is never touched directly.
+class LabelSearch::WaveMemo {
  public:
-  virtual ~Backend() = default;
+  WaveMemo(CountingService& service, const CountingEngineOptions& config)
+      : service_(service), config_(config) {}
 
   /// Sizes one wave (CountPatterns semantics per mask) and memoizes the
   /// materialized PC sets of within-budget masks.
-  virtual std::vector<int64_t> SizeWave(const std::vector<AttrMask>& masks,
-                                        int64_t budget) = 0;
+  std::vector<int64_t> SizeWave(const std::vector<AttrMask>& masks,
+                                int64_t budget) {
+    std::vector<std::shared_ptr<const GroupCounts>> counts;
+    std::vector<int64_t> sizes =
+        service_.WaveCountPatterns(masks, budget, config_, &counts);
+    Memoize(masks, counts);
+    return sizes;
+  }
 
   /// Exact, materialized PC sets for `masks` (the append-aware ranking
   /// phase and the final label); memoized too.
-  virtual std::vector<std::shared_ptr<const GroupCounts>> CountsFor(
-      const std::vector<AttrMask>& masks) = 0;
+  std::vector<std::shared_ptr<const GroupCounts>> CountsFor(
+      const std::vector<AttrMask>& masks) {
+    std::vector<std::shared_ptr<const GroupCounts>> counts =
+        service_.WavePatternCounts(masks, config_);
+    Memoize(masks, counts);
+    return counts;
+  }
 
   /// The memoized PC set of `mask`, nullptr when this search never
   /// materialized it. Thread-safe once sizing is done (the memo is
@@ -61,10 +76,12 @@ class LabelSearch::Backend {
     return it == memo_.end() ? nullptr : it->second;
   }
 
-  virtual int64_t EffectiveDomainSize(int attr) const = 0;
-  virtual CountingEngineStats Stats() const = 0;
+  int64_t EffectiveDomainSize(int attr) const {
+    return service_.engine().EffectiveDomainSize(attr);
+  }
+  CountingEngineStats Stats() const { return service_.StatsSnapshot(); }
 
- protected:
+ private:
   void Memoize(const std::vector<AttrMask>& masks,
                const std::vector<std::shared_ptr<const GroupCounts>>& counts) {
     for (size_t i = 0; i < masks.size(); ++i) {
@@ -74,87 +91,10 @@ class LabelSearch::Backend {
     }
   }
 
- private:
-  std::unordered_map<uint64_t, std::shared_ptr<const GroupCounts>> memo_;
-};
-
-namespace {
-
-// Serialized discipline: the caller holds service->mutex() for the whole
-// search, so the engine is called directly. The memo doubles as a probe
-// shortcut; misses during ranking may still consult the cache (const
-// probes are safe under the holder's lock).
-class SerializedBackend final : public LabelSearch::Backend {
- public:
-  explicit SerializedBackend(CountingEngine& engine) : engine_(engine) {}
-
-  std::vector<int64_t> SizeWave(const std::vector<AttrMask>& masks,
-                                int64_t budget) override {
-    std::vector<std::shared_ptr<const GroupCounts>> counts;
-    std::vector<int64_t> sizes =
-        engine_.CountPatternsBatchCollect(masks, budget, &counts);
-    Memoize(masks, counts);
-    return sizes;
-  }
-
-  std::vector<std::shared_ptr<const GroupCounts>> CountsFor(
-      const std::vector<AttrMask>& masks) override {
-    std::vector<std::shared_ptr<const GroupCounts>> counts =
-        engine_.PatternCountsBatch(masks);
-    Memoize(masks, counts);
-    return counts;
-  }
-
-  int64_t EffectiveDomainSize(int attr) const override {
-    return engine_.EffectiveDomainSize(attr);
-  }
-  CountingEngineStats Stats() const override { return engine_.stats(); }
-
- private:
-  CountingEngine& engine_;
-};
-
-// Wave-scheduled discipline: the caller holds a shared QueryAdmission
-// (no mutex), every batch goes through the service's scheduler and may
-// merge with concurrent queries' waves. The engine's *data* observables
-// (effective domains, row counts) are stable under the gate; its cache
-// is never touched directly.
-class ScheduledBackend final : public LabelSearch::Backend {
- public:
-  ScheduledBackend(CountingService& service,
-                   const CountingEngineOptions& config)
-      : service_(service), config_(config) {}
-
-  std::vector<int64_t> SizeWave(const std::vector<AttrMask>& masks,
-                                int64_t budget) override {
-    std::vector<std::shared_ptr<const GroupCounts>> counts;
-    std::vector<int64_t> sizes =
-        service_.WaveCountPatterns(masks, budget, config_, &counts);
-    Memoize(masks, counts);
-    return sizes;
-  }
-
-  std::vector<std::shared_ptr<const GroupCounts>> CountsFor(
-      const std::vector<AttrMask>& masks) override {
-    std::vector<std::shared_ptr<const GroupCounts>> counts =
-        service_.WavePatternCounts(masks, config_);
-    Memoize(masks, counts);
-    return counts;
-  }
-
-  int64_t EffectiveDomainSize(int attr) const override {
-    return service_.engine().EffectiveDomainSize(attr);
-  }
-  CountingEngineStats Stats() const override {
-    return service_.StatsSnapshot();
-  }
-
- private:
   CountingService& service_;
   CountingEngineOptions config_;
+  std::unordered_map<uint64_t, std::shared_ptr<const GroupCounts>> memo_;
 };
-
-}  // namespace
 
 LabelSearch::LabelSearch(const Table& table)
     : table_(&table),
@@ -238,7 +178,7 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
                                  const SearchOptions& options,
                                  SearchStats stats,
                                  double candidate_seconds,
-                                 Backend& backend) const {
+                                 WaveMemo& memo) const {
   Stopwatch eval_watch;
   SearchResult result;
 
@@ -261,7 +201,7 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
     std::vector<AttrMask> missing;
     std::vector<size_t> missing_at;
     for (size_t i = 0; i < cands.size(); ++i) {
-      extended_pcs[i] = backend.Lookup(cands[i]);
+      extended_pcs[i] = memo.Lookup(cands[i]);
       if (extended_pcs[i] == nullptr) {
         missing.push_back(cands[i]);
         missing_at.push_back(i);
@@ -269,7 +209,7 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
     }
     if (!missing.empty()) {
       std::vector<std::shared_ptr<const GroupCounts>> fetched =
-          backend.CountsFor(missing);
+          memo.CountsFor(missing);
       for (size_t i = 0; i < missing.size(); ++i) {
         extended_pcs[missing_at[i]] = fetched[i];
       }
@@ -277,12 +217,12 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
     extended_domains.resize(static_cast<size_t>(table_->num_attributes()));
     for (int a = 0; a < table_->num_attributes(); ++a) {
       extended_domains[static_cast<size_t>(a)] =
-          backend.EffectiveDomainSize(a);
+          memo.EffectiveDomainSize(a);
     }
   }
 
   // Every within-bound candidate was just counted by the generation
-  // phase; with the engine on, its PC set rides the search's memo view
+  // phase; with the engine on, its PC set rides the search's memo
   // and the label builds without touching the table again (the memo is
   // read-only here — safe under the ParallelFor even while concurrent
   // queries mutate the shared cache). Unmemoized candidates (a disabled
@@ -294,7 +234,7 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
                                             described_rows_,
                                             extended_domains);
     }
-    std::shared_ptr<const GroupCounts> pc = backend.Lookup(s);
+    std::shared_ptr<const GroupCounts> pc = memo.Lookup(s);
     if (pc != nullptr) {
       return Label::BuildFromCounts(*table_, s, *pc, vc_);
     }
@@ -363,14 +303,14 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
   // yields the trivial empty set, fetched here).
   std::shared_ptr<const GroupCounts> best_pc;
   if (extended()) {
-    best_pc = backend.Lookup(best_attrs);
-    if (best_pc == nullptr) best_pc = backend.CountsFor({best_attrs})[0];
+    best_pc = memo.Lookup(best_attrs);
+    if (best_pc == nullptr) best_pc = memo.CountsFor({best_attrs})[0];
   }
   result.label = build_label(best_attrs, best_pc.get());
   stats.error_eval_seconds = eval_watch.ElapsedSeconds();
   stats.candidate_seconds = candidate_seconds;
   stats.total_seconds = candidate_seconds + stats.error_eval_seconds;
-  stats.counting = backend.Stats();
+  stats.counting = memo.Stats();
   // The final label is always certified with an exact scan.
   LabelEstimator final_estimator(result.label);
   result.error = Evaluate(final_estimator, ErrorMode::kExact);
@@ -379,36 +319,17 @@ SearchResult LabelSearch::Finish(const std::vector<AttrMask>& cands,
 }
 
 SearchResult LabelSearch::Naive(const SearchOptions& options) const {
-  // The dataset's shared engine: candidates sized by an earlier search
-  // over this table are answered from the warm cache instead of a scan.
-  if (options.use_wave_scheduler) {
-    // Shared admission: concurrent searches' waves merge through the
-    // service's scheduler; appends are excluded until we leave.
-    CountingService::QueryAdmission admission(*service_);
-    return NaiveScheduled(options);
-  }
-  // Serialized reference arm: the lock serializes whole searches; the
-  // ranking ParallelFor's memo reads run under this same lock.
-  std::lock_guard<std::mutex> lock(service_->mutex());
-  return NaiveLocked(options);
+  // Shared admission: concurrent searches' waves merge through the
+  // service's scheduler, candidates sized by an earlier search over this
+  // table are answered from the warm cache, and appends are excluded
+  // until we leave.
+  CountingService::QueryAdmission admission(*service_);
+  return NaiveAdmitted(options);
 }
 
-SearchResult LabelSearch::NaiveLocked(const SearchOptions& options) const {
+SearchResult LabelSearch::NaiveAdmitted(const SearchOptions& options) const {
   CheckDescribedRows();
-  service_->Configure(EngineOptions(options));
-  SerializedBackend backend(service_->engine());
-  return NaiveImpl(options, backend);
-}
-
-SearchResult LabelSearch::NaiveScheduled(
-    const SearchOptions& options) const {
-  CheckDescribedRows();
-  ScheduledBackend backend(*service_, EngineOptions(options));
-  return NaiveImpl(options, backend);
-}
-
-SearchResult LabelSearch::NaiveImpl(const SearchOptions& options,
-                                    Backend& backend) const {
+  WaveMemo memo(*service_, EngineOptions(options));
   Stopwatch watch;
   SearchStats stats;
   std::vector<AttrMask> cands;
@@ -438,7 +359,7 @@ SearchResult LabelSearch::NaiveImpl(const SearchOptions& options,
         chunk.push_back(s);
       }
       if (chunk.empty()) break;
-      sizes = backend.SizeWave(chunk, options.size_bound);
+      sizes = memo.SizeWave(chunk, options.size_bound);
       for (size_t i = 0; i < chunk.size(); ++i) {
         ++stats.subsets_examined;
         if (sizes[i] <= options.size_bound) {
@@ -455,34 +376,18 @@ SearchResult LabelSearch::NaiveImpl(const SearchOptions& options,
     stats.levels_completed = level - 1;  // levels beyond the start size
     if (!any_within_bound) break;
   }
-  return Finish(cands, options, stats, watch.ElapsedSeconds(), backend);
+  return Finish(cands, options, stats, watch.ElapsedSeconds(), memo);
 }
 
 SearchResult LabelSearch::TopDown(const SearchOptions& options) const {
-  if (options.use_wave_scheduler) {
-    CountingService::QueryAdmission admission(*service_);
-    return TopDownScheduled(options);
-  }
-  std::lock_guard<std::mutex> lock(service_->mutex());
-  return TopDownLocked(options);
+  CountingService::QueryAdmission admission(*service_);
+  return TopDownAdmitted(options);
 }
 
-SearchResult LabelSearch::TopDownLocked(const SearchOptions& options) const {
-  CheckDescribedRows();
-  service_->Configure(EngineOptions(options));
-  SerializedBackend backend(service_->engine());
-  return TopDownImpl(options, backend);
-}
-
-SearchResult LabelSearch::TopDownScheduled(
+SearchResult LabelSearch::TopDownAdmitted(
     const SearchOptions& options) const {
   CheckDescribedRows();
-  ScheduledBackend backend(*service_, EngineOptions(options));
-  return TopDownImpl(options, backend);
-}
-
-SearchResult LabelSearch::TopDownImpl(const SearchOptions& options,
-                                      Backend& backend) const {
+  WaveMemo memo(*service_, EngineOptions(options));
   Stopwatch watch;
   SearchStats stats;
   const int n = table_->num_attributes();
@@ -525,7 +430,7 @@ SearchResult LabelSearch::TopDownImpl(const SearchOptions& options,
         chunk.push_back(gen[g++]);
       }
       if (chunk.empty()) break;
-      sizes = backend.SizeWave(chunk, options.size_bound);
+      sizes = memo.SizeWave(chunk, options.size_bound);
       for (size_t i = 0; i < chunk.size(); ++i) {
         ++stats.subsets_examined;
         if (sizes[i] > options.size_bound) continue;
@@ -555,7 +460,7 @@ SearchResult LabelSearch::TopDownImpl(const SearchOptions& options,
       cand_set.erase(s.bits());  // deduplicate while preserving order
     }
   }
-  return Finish(cands, options, stats, watch.ElapsedSeconds(), backend);
+  return Finish(cands, options, stats, watch.ElapsedSeconds(), memo);
 }
 
 }  // namespace pcbl

@@ -16,6 +16,12 @@
 // Both pick the minimal-max-error candidate; ties break toward the smaller
 // label, then the lexicographically smaller attribute set, so the two
 // algorithms are deterministically comparable.
+//
+// Both size their candidates the same way: admitted shared through the
+// dataset's CountingService gate, in waves submitted to its wave
+// scheduler (docs/CONCURRENCY.md). How the sizing work is scheduled —
+// solo, or merged with concurrent queries' waves — never changes the
+// label.
 #ifndef PCBL_CORE_SEARCH_H_
 #define PCBL_CORE_SEARCH_H_
 
@@ -68,16 +74,6 @@ struct SearchOptions {
   /// one-shot counters; results are byte-identical either way.
   bool use_counting_engine = true;
 
-  /// Submit sizing waves to the service's wave scheduler instead of
-  /// holding the service mutex for the whole search: concurrent searches
-  /// over one service then merge their in-flight waves into single
-  /// deduped engine batches and rank concurrently, instead of queueing
-  /// whole searches behind each other (see docs/CONCURRENCY.md). Results
-  /// are byte-identical either way — `false` is the serialized reference
-  /// arm of the differential harness. Appends are excluded for the whole
-  /// search in both modes (admission gate vs. mutex).
-  bool use_wave_scheduler = true;
-
   /// Memoization budget of the counting engine, in cached group entries
   /// summed over all cached PC sets (0 disables memoization; batched
   /// sizing still applies). See CountingEngineOptions::cache_budget.
@@ -115,10 +111,10 @@ struct SearchStats {
   double error_eval_seconds = 0.0;
   /// True when candidate generation hit SearchOptions::time_limit_seconds.
   bool timed_out = false;
-  /// Counting-engine observability (cache hits, rollups, direct scans).
-  /// With the wave scheduler these are the *service-global* counters at
-  /// the time the search finished — concurrent queries' work included —
-  /// since the engine is shared mid-search by design.
+  /// Counting-engine observability (cache hits, rollups, direct scans):
+  /// the *service-global* counters at the time the search finished —
+  /// concurrent queries' work included — since the engine is shared
+  /// mid-search by design.
   CountingEngineStats counting;
 };
 
@@ -219,67 +215,46 @@ class LabelSearch {
     eval_patterns_rows_ = described_rows;
   }
 
-  /// The naive level-wise algorithm (Sec. III). Self-admitting: enters
-  /// the service through the admission gate and rides the wave scheduler
-  /// (SearchOptions::use_wave_scheduler, the default), or locks the
-  /// service mutex for the whole search (the serialized reference arm).
+  /// The naive level-wise algorithm (Sec. III). Self-admitting: holds a
+  /// CountingService::QueryAdmission for the whole search, so appends
+  /// are excluded while its waves run.
   SearchResult Naive(const SearchOptions& options) const;
 
-  /// Algorithm 1, the optimized top-down heuristic.
+  /// Algorithm 1, the optimized top-down heuristic. Self-admitting.
   SearchResult TopDown(const SearchOptions& options) const;
 
-  /// Low-level variants that assume the caller already holds
-  /// service->mutex() for the whole search — the serialized discipline
-  /// api::Session's query executor uses when the wave scheduler is off,
-  /// so the engine state it validated against its VC / P_A snapshot
-  /// cannot shift between validation and the search. Everything else is
-  /// identical to Naive/TopDown with use_wave_scheduler = false.
-  SearchResult NaiveLocked(const SearchOptions& options) const;
-  SearchResult TopDownLocked(const SearchOptions& options) const;
-
-  /// Wave-scheduled variants that assume the caller already holds a
-  /// CountingService::QueryAdmission (shared gate) on the service —
-  /// api::Session's query executor does. Sizing waves are submitted to
-  /// the scheduler (merging with concurrent queries' waves), the ranking
-  /// phase runs on the search's own memo view of the returned PC-set
-  /// handles, and nothing holds the service mutex across waves. Results
-  /// are byte-identical to the Locked forms.
-  SearchResult NaiveScheduled(const SearchOptions& options) const;
-  SearchResult TopDownScheduled(const SearchOptions& options) const;
+  /// The same searches for a caller that already holds a QueryAdmission
+  /// on the service — api::Session's query executor does, so the engine
+  /// data it validated its VC / P_A snapshot against cannot shift before
+  /// the search runs. Sizing waves go to the scheduler (merging with
+  /// concurrent queries' waves), the ranking phase runs on the search's
+  /// own memo of the returned PC-set handles, and nothing holds the
+  /// service mutex across waves.
+  SearchResult NaiveAdmitted(const SearchOptions& options) const;
+  SearchResult TopDownAdmitted(const SearchOptions& options) const;
 
   const Table& table() const { return *table_; }
   const ValueCounts& value_counts() const { return *vc_; }
   const FullPatternIndex& full_patterns() const { return *patterns_; }
 
-  // How a search talks to the counting layer: the serialized backend
-  // calls the engine directly (caller holds the service mutex for the
-  // whole search), the scheduled backend submits waves to the service's
-  // scheduler (caller holds a shared QueryAdmission). Both memoize the
-  // PC-set handles their waves return, so the ranking phase builds
-  // labels from the search's own snapshot instead of probing a cache
-  // that concurrent queries may be mutating. Implementation detail —
-  // public only so the concrete backends in search.cc can derive.
-  class Backend;
-
  private:
-  // Shared algorithm bodies: NaiveLocked/NaiveScheduled etc. are
-  // entry-discipline wrappers around these.
-  SearchResult NaiveImpl(const SearchOptions& options,
-                         Backend& backend) const;
-  SearchResult TopDownImpl(const SearchOptions& options,
-                           Backend& backend) const;
+  // How a search talks to the counting layer: waves through the
+  // service's scheduler, plus a memo of the PC-set handles they return,
+  // so the ranking phase builds labels from the search's own snapshot
+  // instead of probing a cache that concurrent queries may be mutating.
+  class WaveMemo;
 
   // Ranks `cands` by (exactness-ordered) max error and assembles the
-  // SearchResult; shared tail of both algorithms. `backend` supplies the
+  // SearchResult; shared tail of both algorithms. `memo` supplies the
   // memoized PC sets so candidate labels skip the recount; in
   // append-aware mode (described_rows_ beyond the base table) it
   // additionally materializes every candidate against the extended data.
   SearchResult Finish(const std::vector<AttrMask>& cands,
                       const SearchOptions& options, SearchStats stats,
-                      double candidate_seconds, Backend& backend) const;
+                      double candidate_seconds, WaveMemo& memo) const;
 
-  // Entry checks shared by NaiveLocked/TopDownLocked: the engine must
-  // hold exactly the rows vc_/patterns_ describe.
+  // Entry check of both searches: the engine must hold exactly the rows
+  // vc_/patterns_ describe.
   void CheckDescribedRows() const;
 
   // True when vc_/patterns_ describe data beyond the base table.

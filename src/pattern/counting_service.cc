@@ -136,7 +136,7 @@ void CountingService::MarkEvicted() {
 // --- result tier -----------------------------------------------------------
 
 ResultProbe CountingService::ResultLookupOrBegin(const QueryResultKey& key,
-                                                 int64_t rows, bool may_join,
+                                                 int64_t rows,
                                                  int64_t budget_bytes) {
   ResultProbe probe;
   std::lock_guard<std::mutex> lock(results_mu_);
@@ -153,10 +153,10 @@ ResultProbe CountingService::ResultLookupOrBegin(const QueryResultKey& key,
       probe.value = cached->second->value;
       return probe;
     }
-    // Stale row count. Unreachable while every append arm clears the
-    // cache eagerly under its exclusive admission; dropped defensively
-    // so a future append path that forgets to invalidate degrades to a
-    // miss instead of a wrong answer.
+    // Stale row count. Unreachable while every commit clears the cache
+    // eagerly under its exclusive admission; dropped defensively so a
+    // future append path that forgets to invalidate degrades to a miss
+    // instead of a wrong answer.
     result_bytes_ -= cached->second->bytes;
     result_lru_.erase(cached->second);
     result_map_.erase(cached);
@@ -164,12 +164,8 @@ ResultProbe CountingService::ResultLookupOrBegin(const QueryResultKey& key,
   }
   auto in_flight = result_inflight_.find(key);
   if (in_flight != result_inflight_.end()) {
-    if (may_join) {
-      ++result_stats_.inflight_joins;
-      probe.join = in_flight->second->future;
-    } else {
-      ++result_stats_.bypasses;
-    }
+    ++result_stats_.inflight_joins;
+    probe.join = in_flight->second->future;
     return probe;
   }
   auto entry = std::make_shared<InFlightResult>();
@@ -310,8 +306,8 @@ void CountingService::SubmitWave(WaveRequest& req) {
     }
     wave_cv_.wait(lock);
   }
-  // A failed merged wave fails every rider the same way the serialized
-  // engine call would have failed its single caller.
+  // A failed merged wave fails every rider the same way a direct engine
+  // call would have failed its single caller.
   if (req.error != nullptr) std::rethrow_exception(req.error);
 }
 
@@ -418,10 +414,8 @@ void CountingService::ExecuteWave(const std::vector<WaveRequest*>& batch) {
     // The most-capable fold extends across waves: while other queries
     // are admitted, a wave must not shrink the cache budget below what
     // the engine already runs with — otherwise a low-budget query's
-    // solo waves would evict the shared warm entries once per wave
-    // (the serialized path paid that eviction once per search). A truly
-    // solo query applies its config verbatim, exactly like Configure on
-    // the serialized path.
+    // solo waves would evict the shared warm entries once per wave. A
+    // truly solo query applies its config verbatim.
     if (active_queries() > 1) {
       merged.cache_budget =
           std::max(merged.cache_budget, engine_.options().cache_budget);
@@ -475,38 +469,22 @@ void CountingService::ExecuteWave(const std::vector<WaveRequest*>& batch) {
 
 // --- appends ---------------------------------------------------------------
 
-void CountingService::AppendRow(const std::vector<ValueId>& codes) {
-  AppendAdmission admission(*this);
-  AppendRowLocked(codes);
-}
-
-void CountingService::AppendRows(
+void CountingService::ApplyRowsLocked(
     const std::vector<std::vector<ValueId>>& rows) {
-  AppendAdmission admission(*this);
-  AppendRowsLocked(rows);
-}
-
-void CountingService::AppendRowLocked(const std::vector<ValueId>& codes) {
   // Results describe the pre-append rows; clear before the data grows
   // (the exclusive admission excludes every lookup and publish, so the
   // order matters only for crash hygiene — an interrupted append leaves
   // an empty cache, never a stale one).
   InvalidateResults();
-  engine_.ApplyAppend({codes});
-}
-
-void CountingService::AppendRowsLocked(
-    const std::vector<std::vector<ValueId>>& rows) {
-  InvalidateResults();
-  const int64_t cached = engine_.stats().cached_groups;
-  const int64_t work = static_cast<int64_t>(rows.size()) * cached;
-  if (work > kMaxPatchWork) {
+  const int64_t work =
+      static_cast<int64_t>(rows.size()) * engine_.stats().cached_groups;
+  if (rows.size() > 1 && work > kMaxPatchWork) {
     engine_.InvalidateCache();  // the invalidate arm
   }
   engine_.ApplyAppend(rows);
 }
 
-// --- string-level appends (shared interning + group commit) ----------------
+// --- appends (shared interning + group commit) -----------------------------
 
 Status CountingService::AppendStrings(
     const std::vector<std::vector<std::string>>& rows) {
@@ -593,8 +571,7 @@ void CountingService::RunAppendLeader() {
   } catch (...) {
     // Fail the whole batch rather than leave siblings parked forever;
     // the statuses are best-effort (the exception itself propagates to
-    // this leader's caller, exactly as the serialized engine hook would
-    // have thrown).
+    // this leader's caller).
     std::lock_guard<std::mutex> lock(append_mu_);
     for (AppendTicket* t : batch) {
       if (!t->status.ok() || t->done) continue;
@@ -611,22 +588,6 @@ void CountingService::RunAppendLeader() {
 
 void CountingService::CommitAppendBatch(
     const std::vector<AppendTicket*>& batch) {
-  const Table& base = engine_.table();
-  const int n = base.num_attributes();
-  // Interning guard: a code-level consumer (AppendRow/AppendRows — e.g.
-  // IncrementalLabel) may have grown the code space without the
-  // interner. String-level appends could then assign codes that collide
-  // with the anonymous ones, so they are refused instead.
-  for (int a = 0; a < n; ++a) {
-    if (engine_.EffectiveDomainSize(a) == interner_.NextCode(a)) continue;
-    const Status refused = FailedPreconditionError(
-        "this service's code space was grown by a code-level append "
-        "(CountingService::AppendRow/AppendRows) that bypassed the "
-        "shared interner; string-level appends can no longer assign "
-        "consistent codes — open a fresh Dataset over the base content");
-    for (AppendTicket* t : batch) t->status = refused;
-    return;
-  }
   SharedInterner::Batch stage(interner_);
   std::vector<std::vector<ValueId>> rows;
   int64_t merged = 0;
@@ -656,11 +617,7 @@ void CountingService::CommitAppendBatch(
     // invalidation, one invalidate-or-patch engine hook. The interner
     // publishes last — if the engine hook ever threw, no phantom
     // dictionary entries would survive it.
-    if (rows.size() == 1) {
-      AppendRowLocked(rows[0]);
-    } else {
-      AppendRowsLocked(rows);
-    }
+    ApplyRowsLocked(rows);
     interner_.Commit(std::move(stage));
   }
   std::lock_guard<std::mutex> lock(append_mu_);

@@ -12,10 +12,10 @@
 // full-table scans for the candidates the first one sized — asserted in
 // pattern_counting_service_test.cc).
 //
-// Concurrency (PR 5 — the full model lives in docs/CONCURRENCY.md):
+// Concurrency (the full model lives in docs/CONCURRENCY.md). There is
+// one way in for queries and one way in for rows:
 //
-//  * The wave scheduler. Before PR 5, concurrent searches serialized
-//    *whole searches* on mutex(). Now a search enters the service
+//  * Queries: gate admission plus waves. A query enters the service
 //    through the admission gate in shared mode (QueryAdmission) and
 //    submits its per-wave sizing batches to WaveCountPatterns /
 //    WavePatternCounts. A coordinator — the first waiting thread, no
@@ -28,66 +28,51 @@
 //    concurrent identical searches therefore perform ~one set of scans
 //    — even with memoization off, where the cache cannot help — and
 //    their ranking phases overlap instead of queueing
-//    (bench_micro_wave_scheduler). Results are byte-identical to the
-//    serialized path: every engine answer is exact regardless of cache
-//    state, and a request folded into a larger budget still satisfies
-//    the early-exit contract ("any value > budget" may simply be the
-//    exact one). The admission window (set_wave_admission_window) gives
-//    near-simultaneous waves a brief chance to land in one batch; it is
-//    skipped entirely when no other query is admitted, so solo searches
-//    pay zero added latency.
+//    (bench_micro_wave_scheduler). Every engine answer is exact
+//    regardless of cache state, and a request folded into a larger
+//    budget still satisfies the early-exit contract ("any value >
+//    budget" may simply be the exact one), so results do not depend on
+//    what ran beside a query. The admission window
+//    (set_wave_admission_window) gives near-simultaneous waves a brief
+//    chance to land in one batch; it is skipped entirely when no other
+//    query is admitted, so solo searches pay zero added latency.
 //
-//  * The admission gate. Queries are admitted shared; appenders
-//    (AppendAdmission, which also takes mutex()) are exclusive. That
-//    pins the engine's *data* (row count, delta block, effective
-//    domains) for a query's whole lifetime — a search validated against
-//    its VC / P_A snapshot can never observe half an append — while
-//    engine *cache* mutations (the coordinator's merged waves, under
-//    mutex()) proceed freely: they are physical, not semantic.
-//
-//  * The serialized path survives. mutex() still serializes whole
-//    searches for legacy consumers (theory sweeps, IncrementalLabel,
-//    SearchOptions::use_wave_scheduler = false — the differential
-//    harness' reference arm): the coordinator takes mutex() per merged
-//    wave, so both disciplines interleave safely. Lock order is always
-//    gate -> mutex(); nothing acquires the gate while holding mutex().
-//
-//  * Registry eviction drains. MarkEvicted flips queries to a retryable
-//    refusal (api::Session surfaces kUnavailable), Quiesce waits for
-//    in-flight admissions and waves — ServiceRegistry::Clear runs both
-//    before dropping an entry, so eviction never races a live wave.
-//
-// The service also owns the append story for growing datasets
-// (invalidate-or-patch): AppendRow patches every cached PC set with the
-// new row's restrictions (cheap for the paper's occasional-append
-// regime), while AppendRows invalidates first when the batch is large
-// enough that per-entry patching would cost more than the rescans it
-// saves. Both arms stay exact — the engine tracks appended rows in a
-// delta block that every subsequent scan includes, and folds the block
-// into columnar base storage once it crosses the compaction threshold
-// (see CountingEngine::CompactDeltas). The self-locking append hooks
-// acquire the gate exclusively, so they also exclude wave-scheduled
-// queries.
-//
-//  * Multi-appender group commit (PR 8). String-level appends
-//    (AppendStrings / AppendTable — what api::Session routes through)
-//    intern values centrally in the service's SharedInterner, so *any*
-//    number of sessions may append concurrently and every sibling
-//    resolves the appended strings on its next admission. Concurrent
-//    appends group-commit: requests queue behind a leader (elected
-//    exactly like the wave coordinator), the leader's wait for the
-//    exclusive AppendAdmission is the merge window in which later
-//    arrivals join its batch, and the whole batch commits in one
+//  * Rows: group commit. String-level appends (AppendStrings /
+//    AppendTable) intern values centrally in the service's
+//    SharedInterner, so *any* number of sessions may append concurrently
+//    and every sibling resolves the appended strings on its next
+//    admission. Concurrent appends group-commit: requests queue behind a
+//    leader (elected exactly like the wave coordinator), the leader's
+//    wait for the exclusive AppendAdmission is the merge window in which
+//    later arrivals join its batch, and the whole batch commits in one
 //    critical section — one result-cache invalidation, one engine hook,
 //    one interner publication. Each request stays transactional inside
 //    the batch: encoding runs against a staged interning transaction
 //    with per-request savepoints, so a failed request (schema mismatch,
 //    injected fault) rolls back exactly its staged values and rows and
 //    the surviving requests commit with the codes a rebuild that never
-//    saw the failed rows would assign. Reads are snapshot-isolated by
-//    the gate: a query admitted at row count R runs entirely against R
-//    rows even while a commit is waiting — the commit cannot enter
-//    until the query leaves.
+//    saw the failed rows would assign. The engine hook is
+//    invalidate-or-patch: a single row is folded into every cached PC
+//    set, a batch invalidates first when per-entry patching would cost
+//    more than the rescans it saves. Both arms stay exact — the engine
+//    tracks appended rows in a delta block that every subsequent scan
+//    includes (see CountingEngine::CompactDeltas).
+//
+//  * The admission gate ties the two together. Queries are admitted
+//    shared; the append leader (AppendAdmission, which also takes
+//    mutex()) is exclusive. That pins the engine's *data* (row count,
+//    delta block, effective domains) for a query's whole lifetime —
+//    reads are snapshot-isolated, a search validated against its VC /
+//    P_A snapshot can never observe half an append — while engine
+//    *cache* mutations (the coordinator's merged waves, under mutex())
+//    proceed freely: they are physical, not semantic. In the library
+//    only this class locks mutex(), for short engine sections (a merged
+//    wave, a commit, a pin); lock order is always gate -> mutex().
+//
+//  * Registry eviction drains. MarkEvicted flips queries to a retryable
+//    refusal (api::Session surfaces kUnavailable), Quiesce waits for
+//    in-flight admissions and waves — ServiceRegistry::Clear runs both
+//    before dropping an entry, so eviction never races a live wave.
 //
 // Services are usually obtained from the process-wide ServiceRegistry
 // (service_registry.h), which shares one warm service per table
@@ -167,8 +152,6 @@ struct ResultTierStats {
   int64_t hits = 0;            ///< completed-result cache hits
   int64_t misses = 0;          ///< lookups that became leaders (executed)
   int64_t inflight_joins = 0;  ///< queries parked on a leader's future
-  int64_t bypasses = 0;        ///< in-flight key, caller could not park
-                               ///< (serialized discipline; executed solo)
   int64_t insertions = 0;      ///< results published into the cache
   int64_t evictions = 0;       ///< entries dropped by the byte budget
   int64_t invalidations = 0;   ///< whole-cache clears (append, eviction)
@@ -186,10 +169,8 @@ using QueryResultHandle = std::shared_ptr<const void>;
 ///   hit    — `value` holds the cached result; done.
 ///   leader — this caller owns the key: execute, then ResultPublish
 ///            (or ResultAbort if the execution threw).
-///   join   — `join.valid()`: park on it; get() returns the leader's
-///            result (or rethrows its abort exception).
-/// All three false/invalid: the key is in flight but the caller may not
-/// park (may_join was false) — execute solo, publish nothing.
+///   join   — otherwise `join` is valid: park on it; get() returns the
+///            leader's result (or rethrows its abort exception).
 struct ResultProbe {
   bool hit = false;
   QueryResultHandle value;
@@ -250,18 +231,16 @@ class CountingService {
   CountingService(const CountingService&) = delete;
   CountingService& operator=(const CountingService&) = delete;
 
-  /// The shared engine. Hold mutex() around mutating calls when the
-  /// service is reachable from more than one thread.
+  /// The shared engine. Its *data* observables (row counts, effective
+  /// domains, appended rows) are stable under any admission; everything
+  /// else — the cache, stats, options — is mutated by merged waves under
+  /// mutex(), so read it through the snapshots below.
   CountingEngine& engine() { return engine_; }
   const CountingEngine& engine() const { return engine_; }
 
+  /// The engine lock. The library takes it only inside this class; tests
+  /// hold it to wedge a wave or to drive the engine directly.
   std::mutex& mutex() const { return mu_; }
-
-  /// Applies per-search knobs (threads, enabled, cache budget) without
-  /// discarding warm entries; shrinking the budget evicts down to it.
-  void Configure(const CountingEngineOptions& options) {
-    engine_.Reconfigure(options);
-  }
 
   // --- admission gate ----------------------------------------------------
 
@@ -284,9 +263,9 @@ class CountingService {
   };
 
   /// Admits an appender exclusively *and* locks mutex(): no query is in
-  /// flight, no wave is executing, and legacy mutex() consumers are
-  /// excluded — the one critical section in which engine data (and an
-  /// api::Session's VC / P_A maintenance state) may grow.
+  /// flight and no wave is executing — the one critical section in which
+  /// engine data and the shared interner may grow. Taken by the group
+  /// commit's leader.
   class AppendAdmission {
    public:
     explicit AppendAdmission(CountingService& service) : service_(service) {
@@ -342,23 +321,21 @@ class CountingService {
   // *leader* and executes; identical concurrent queries park on a shared
   // future and receive the leader's result. Level 2 (completed cache): a
   // bounded LRU of published results, so identical repeats are O(1).
-  // All calls run under a query admission (gate-shared or mutex()), so
-  // `rows` — the engine's total_rows() at lookup — is pinned for the
-  // leader's whole execution and tags each entry against staleness;
-  // belt-and-braces, since every append arm clears the cache eagerly
-  // while holding the gate exclusively (no query, hence no lookup or
-  // publish, is concurrent with an append). results_mu_ is a leaf lock:
-  // nothing is acquired under it, so it may be taken while holding
-  // mutex() (the serialized discipline) or the gate (the scheduled one).
+  // All calls run under a shared QueryAdmission, so `rows` — the
+  // engine's total_rows() at lookup — is pinned for the leader's whole
+  // execution and tags each entry against staleness; belt-and-braces,
+  // since every commit clears the cache eagerly while holding the gate
+  // exclusively (no query, hence no lookup or publish, is concurrent
+  // with an append). Parking is deadlock-free: the leader holds no lock
+  // a joiner holds. results_mu_ is a leaf lock: nothing is acquired
+  // under it.
 
   /// Probes both levels for `key` and registers this caller as leader on
-  /// a miss. `may_join` must be false for callers holding mutex(): the
-  /// leader's waves need mutex(), so parking such a caller on the
-  /// leader's future would deadlock — they get the execute-solo shape
-  /// instead. `budget_bytes` >= 0 re-budgets the completed cache
-  /// (last writer wins, evicting down immediately); -1 leaves it alone.
+  /// a miss, or hands it the in-flight leader's future to park on.
+  /// `budget_bytes` >= 0 re-budgets the completed cache (last writer
+  /// wins, evicting down immediately); -1 leaves it alone.
   ResultProbe ResultLookupOrBegin(const QueryResultKey& key, int64_t rows,
-                                  bool may_join, int64_t budget_bytes = -1);
+                                  int64_t budget_bytes = -1);
 
   /// Resolves the leader's key: wakes every parked joiner with `value`
   /// and, when `cache` is set (callers pass status-ok only — a
@@ -374,9 +351,9 @@ class CountingService {
   void ResultAbort(const QueryResultKey& key, std::exception_ptr error);
 
   /// Drops every completed result (the in-flight table is untouched —
-  /// it is provably empty when the append arms call this, and a live
-  /// leader resolves its joiners regardless). Called by every append arm
-  /// and by MarkEvicted.
+  /// it is provably empty when a commit calls this, and a live leader
+  /// resolves its joiners regardless). Called by every commit and by
+  /// MarkEvicted.
   void InvalidateResults();
 
   ResultTierStats result_tier_stats() const;
@@ -397,8 +374,7 @@ class CountingService {
   /// wave runs under the most capable fold of its requests' configs
   /// (enabled if any asks, max threads, max cache budget) — every
   /// answer is exact under any config, so the fold affects cost only.
-  /// Callers hold the gate in shared mode (QueryAdmission), never
-  /// mutex().
+  /// Callers hold the gate in shared mode (QueryAdmission).
   std::vector<int64_t> WaveCountPatterns(
       const std::vector<AttrMask>& masks, int64_t budget,
       const CountingEngineOptions& config,
@@ -426,42 +402,37 @@ class CountingService {
   }
 
   /// Engine stats snapshot under mutex() — the only race-free way to
-  /// read them while wave-scheduled queries are in flight.
+  /// read them while queries are in flight.
   CountingEngineStats StatsSnapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     return engine_.stats();
   }
 
-  // --- appends -----------------------------------------------------------
+  /// The engine's current knobs, snapshotted under mutex(). A query that
+  /// has no knobs of its own (a theory sweep, an incremental label's
+  /// seed) submits its waves with these, so it runs under whatever the
+  /// service was built or last configured with.
+  CountingEngineOptions EngineOptionsSnapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return engine_.options();
+  }
 
-  /// Patch arm of the append hook: the row's restriction is folded into
-  /// every cached PC set and the row joins the engine's delta block.
-  /// `codes` is one row over the full schema (kNullValue = missing; fresh
-  /// values use ids extending the base code space in first-seen order,
-  /// exactly as TableBuilder would assign them). Self-admitting: takes
-  /// the gate exclusively (queries drain first) plus mutex().
-  void AppendRow(const std::vector<ValueId>& codes);
+  /// The PC set of `mask`, pinned in the cache: exempt from eviction and
+  /// from the budget (CountingEngine::PinnedPatternCounts). Primes a
+  /// rollup ancestor ahead of a subset sweep that would otherwise cycle
+  /// it out of the FIFO cache. One short mutex() section; callers hold a
+  /// QueryAdmission.
+  std::shared_ptr<const GroupCounts> PinPatternCounts(AttrMask mask) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return engine_.PinnedPatternCounts(mask);
+  }
 
-  /// Appends a batch, choosing the arm by cost: small batches patch the
-  /// cache (one pass over the cached entries), large ones invalidate it
-  /// first — rebuilding from scans is then cheaper than per-entry
-  /// patching, and both arms are exact.
-  void AppendRows(const std::vector<std::vector<ValueId>>& rows);
-
-  /// The append hooks for callers that already hold an AppendAdmission
-  /// — e.g. an api::Session, whose append must mutate the engine *and*
-  /// its own VC / P_A maintenance state under one critical section so a
-  /// concurrent search never observes half an append. Same
-  /// invalidate-or-patch semantics as the self-admitting forms.
-  void AppendRowLocked(const std::vector<ValueId>& codes);
-  void AppendRowsLocked(const std::vector<std::vector<ValueId>>& rows);
-
-  // --- string-level appends (shared interning + group commit) ------------
+  // --- appends (shared interning + group commit) -------------------------
   //
-  // The multi-appender surface api::Session routes through. Values are
-  // interned centrally in the service's SharedInterner (codes extend the
-  // base code space in committed first-seen order, exactly as a
-  // TableBuilder rebuild would assign them), so any number of sessions
+  // The one way rows enter the service. Values are interned centrally in
+  // the service's SharedInterner (codes extend the base code space in
+  // committed first-seen order, exactly as a TableBuilder rebuild would
+  // assign them), so any number of sessions or incremental labels
   // append concurrently and every sibling resolves the appended strings.
   // Concurrent calls group-commit: a leader's wait for the exclusive
   // AppendAdmission is the merge window, and the merged batch pays one
@@ -480,8 +451,8 @@ class CountingService {
   /// dictionaries). Same group-commit semantics as AppendStrings.
   Status AppendTable(const Table& delta);
 
-  /// The shared interning surface. Reads require a query admission
-  /// (gate-shared or mutex()) — the gate orders commits before them.
+  /// The shared interning surface. Reads require a QueryAdmission — the
+  /// gate orders commits before them.
   const SharedInterner& interner() const { return interner_; }
 
   /// Disables (or re-enables) group commit: each request then takes its
@@ -503,8 +474,7 @@ class CountingService {
   AppendBatchStats append_stats() const;
 
   /// Drops every cached entry; appended rows (data) survive. Self-locks
-  /// mutex() (Configure, by contrast, runs under the caller's search
-  /// lock). Exactness is cache-independent, so this is safe mid-wave.
+  /// mutex(). Exactness is cache-independent, so this is safe mid-wave.
   void Invalidate() {
     std::lock_guard<std::mutex> lock(mu_);
     engine_.InvalidateCache();
@@ -536,7 +506,8 @@ class CountingService {
 
   /// Snapshots the state worth spilling across a restart: interner
   /// deltas, appended rows, and every cached PC set. Self-locks
-  /// mutex(); safe concurrently with queries (they take the same lock).
+  /// mutex(); safe concurrently with queries (their waves take the same
+  /// lock).
   /// The completed-result tier is deliberately absent — results are
   /// type-erased api objects, and a warm engine cache rebuilds them
   /// without scans.
@@ -558,8 +529,8 @@ class CountingService {
   // coordinator before `done` flips under wave_mu_ (the mutex publishes
   // them). A wave that threw — e.g. bad_alloc while materializing —
   // fails every merged request: each waiter rethrows `error` from
-  // SubmitWave, exactly as the serialized path would have thrown from
-  // the engine call, and the scheduler itself stays unwedged.
+  // SubmitWave, exactly as a direct engine call would have thrown, and
+  // the scheduler itself stays unwedged.
   struct WaveRequest {
     const std::vector<AttrMask>* masks = nullptr;
     int64_t budget = -1;
@@ -597,10 +568,16 @@ class CountingService {
   // One leader stint: acquire the exclusive admission (the merge
   // window), snapshot the queue, commit the batch, publish statuses.
   void RunAppendLeader();
-  // Commits one batch inside the caller's AppendAdmission: interning
-  // guard, per-ticket encode + savepoint rollback, one engine hook, one
-  // interner publication.
+  // Commits one batch inside the caller's AppendAdmission: per-ticket
+  // encode + savepoint rollback, one engine hook, one interner
+  // publication.
   void CommitAppendBatch(const std::vector<AppendTicket*>& batch);
+  // The engine hook of a commit (caller holds the AppendAdmission): one
+  // result-cache invalidation, then invalidate-or-patch — a single row
+  // always patches every cached PC set, a batch invalidates the cache
+  // first when per-entry patching would cost more than the rescans it
+  // saves. Both arms are exact.
+  void ApplyRowsLocked(const std::vector<std::vector<ValueId>>& rows);
   // Validates + encodes one ticket's rows through the staged interning
   // transaction. Appends to `rows`; on error the caller rolls both back.
   Status EncodeTicket(const AppendTicket& ticket,

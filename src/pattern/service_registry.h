@@ -37,9 +37,9 @@
 // that still references it, it just stops being findable.
 //
 // Thread-safety: every method is safe to call concurrently. The registry
-// lock is never held while engine work runs; consumers serialize engine
-// access through the service's own mutex(), exactly as with a
-// hand-constructed CountingService.
+// lock is never held while engine work runs; consumers reach the engine
+// through the service's admission gate and wave scheduler, exactly as
+// with a hand-constructed CountingService.
 #ifndef PCBL_PATTERN_SERVICE_REGISTRY_H_
 #define PCBL_PATTERN_SERVICE_REGISTRY_H_
 

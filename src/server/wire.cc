@@ -196,10 +196,16 @@ enum SpecOptionalBit : uint16_t {
   kBitUseEngine = 1 << 1,
   kBitCacheBudget = 1 << 2,
   kBitMorselRows = 1 << 3,
+  // Retired: carried a scheduler on/off flag that no longer exists. Never
+  // reassign it — a frame that sets it is refused, not misread.
   kBitWaveScheduler = 1 << 4,
   kBitResultCache = 1 << 5,
   kBitResultBudget = 1 << 6,
 };
+
+constexpr uint16_t kKnownSpecBits = kBitNumThreads | kBitUseEngine |
+                                    kBitCacheBudget | kBitMorselRows |
+                                    kBitResultCache | kBitResultBudget;
 
 }  // namespace
 
@@ -223,7 +229,6 @@ void EncodeQuerySpec(const api::QuerySpec& spec, Writer* out) {
   if (spec.use_counting_engine.has_value()) present |= kBitUseEngine;
   if (spec.counting_cache_budget.has_value()) present |= kBitCacheBudget;
   if (spec.min_rows_per_morsel.has_value()) present |= kBitMorselRows;
-  if (spec.use_wave_scheduler.has_value()) present |= kBitWaveScheduler;
   if (spec.use_result_cache.has_value()) present |= kBitResultCache;
   if (spec.result_cache_budget.has_value()) present |= kBitResultBudget;
   out->U16(present);
@@ -236,9 +241,6 @@ void EncodeQuerySpec(const api::QuerySpec& spec, Writer* out) {
   }
   if (spec.min_rows_per_morsel.has_value()) {
     out->I64(*spec.min_rows_per_morsel);
-  }
-  if (spec.use_wave_scheduler.has_value()) {
-    out->U8(*spec.use_wave_scheduler ? 1 : 0);
   }
   if (spec.use_result_cache.has_value()) {
     out->U8(*spec.use_result_cache ? 1 : 0);
@@ -271,13 +273,23 @@ Result<api::QuerySpec> DecodeQuerySpec(Reader& in) {
     spec.label = std::make_shared<const PortableLabel>(std::move(label));
   }
   const uint16_t present = in.U16();
+  // Unknown bits would shift every field after them; refuse the frame
+  // instead of decoding garbage.
+  if (present & kBitWaveScheduler) {
+    return InvalidArgumentError(
+        "query spec sets the retired scheduler override (presence bit 4)");
+  }
+  if (present & ~kKnownSpecBits) {
+    return InvalidArgumentError(
+        StrCat("query spec sets unknown presence bits (mask ",
+               present & ~kKnownSpecBits, ")"));
+  }
   if (present & kBitNumThreads) {
     spec.num_threads = static_cast<int>(in.I64());
   }
   if (present & kBitUseEngine) spec.use_counting_engine = in.U8() != 0;
   if (present & kBitCacheBudget) spec.counting_cache_budget = in.I64();
   if (present & kBitMorselRows) spec.min_rows_per_morsel = in.I64();
-  if (present & kBitWaveScheduler) spec.use_wave_scheduler = in.U8() != 0;
   if (present & kBitResultCache) spec.use_result_cache = in.U8() != 0;
   if (present & kBitResultBudget) spec.result_cache_budget = in.I64();
   if (!in.ok()) return InvalidArgumentError("malformed query spec");

@@ -1,6 +1,9 @@
 #include "theory/reduction.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/label.h"
 #include "pattern/counter.h"
@@ -134,29 +137,47 @@ bool ExistsZeroErrorLabel(const ReductionInstance& instance,
   // comes from the process-wide registry: bound sweeps call this
   // repeatedly on the same instance (and concurrent sessions may probe
   // the same graph), so the primed universe PC set and every cached
-  // subset survive across calls instead of being rebuilt per bound.
+  // subset survive across calls instead of being rebuilt per bound. The
+  // sweep is admitted like any query, and its waves merge with those of
+  // concurrent sweeps and sessions over the same instance.
   std::shared_ptr<CountingService> service =
       ServiceRegistry::Global().Acquire(table);
-  std::lock_guard<std::mutex> lock(service->mutex());
-  CountingEngine& engine = service->engine();
+  CountingService::QueryAdmission admission(*service);
+  const CountingEngineOptions config = service->EngineOptionsSnapshot();
   const AttrMask universe = AttrMask::All(total_attrs);
-  engine.PinnedPatternCounts(universe);  // pinned: the exponential sweep
-                                         // must not evict its ancestor
-  bool found = false;
-  ForEachSubsetOf(universe, [&](AttrMask s) {
-    if (found) return;
-    int64_t size = engine.CountPatterns(s, size_bound);
-    if (size > size_bound) return;
-    Label label =
-        Label::BuildFromCounts(table, s, *engine.PatternCounts(s), vc);
-    for (size_t i = 0; i < instance.patterns.size(); ++i) {
-      double err = label.AbsoluteError(instance.patterns[i],
-                                       instance.pattern_counts[i]);
-      if (err > 1e-9) return;
+  service->PinPatternCounts(universe);  // pinned: the exponential sweep
+                                        // must not evict its ancestor
+  std::vector<AttrMask> subsets;
+  ForEachSubsetOf(universe, [&](AttrMask s) { subsets.push_back(s); });
+  // Sized a chunk at a time, scanned in ForEachSubsetOf order, so the
+  // sweep still stops early once a zero-error label turns up.
+  constexpr size_t kSweepChunk = 256;
+  std::vector<AttrMask> chunk;
+  std::vector<std::shared_ptr<const GroupCounts>> counts;
+  for (size_t begin = 0; begin < subsets.size(); begin += kSweepChunk) {
+    const size_t end = std::min(subsets.size(), begin + kSweepChunk);
+    chunk.assign(subsets.begin() + static_cast<std::ptrdiff_t>(begin),
+                 subsets.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::vector<int64_t> sizes =
+        service->WaveCountPatterns(chunk, size_bound, config, &counts);
+    for (size_t c = 0; c < chunk.size(); ++c) {
+      if (sizes[c] > size_bound) continue;
+      // A disabled engine materializes nothing while sizing.
+      std::shared_ptr<const GroupCounts> pc = counts[c];
+      if (pc == nullptr) {
+        pc = service->WavePatternCounts({chunk[c]}, config)[0];
+      }
+      const Label label = Label::BuildFromCounts(table, chunk[c], *pc, vc);
+      bool zero_error = true;
+      for (size_t i = 0; zero_error && i < instance.patterns.size(); ++i) {
+        zero_error = !(label.AbsoluteError(instance.patterns[i],
+                                           instance.pattern_counts[i]) >
+                       1e-9);
+      }
+      if (zero_error) return true;
     }
-    found = true;
-  });
-  return found;
+  }
+  return false;
 }
 
 }  // namespace theory

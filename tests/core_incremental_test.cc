@@ -2,6 +2,7 @@
 // indistinguishable from rebuilding it on the extended table.
 #include "core/incremental.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 
 #include "core/error.h"
 #include "core/label.h"
+#include "pattern/counting_service.h"
 #include "pattern/full_pattern_index.h"
 #include "tests/differential_harness.h"
 #include "util/rng.h"
@@ -224,6 +226,60 @@ TEST(IncrementalLabelTest, ServiceBackedAppendsSurviveTheDifferentialGrid) {
       /*seed=*/31, /*attrs=*/4, /*base_rows=*/180, /*append_rows=*/45,
       /*domain=*/5, /*append_domain=*/7, /*null_percent=*/20));
   harness.CheckAll();
+}
+
+// Appends are transactional across the label and its service: the
+// service commits first, so an append it refuses leaves the label
+// exactly as it was — row count, drift, and every estimate.
+TEST(IncrementalLabelTest, RefusedServiceAppendLeavesLabelUnchanged) {
+  Table base = workload::MakeCompas(400, 43).value();
+  const int n = base.num_attributes();
+  auto service = std::make_shared<CountingService>(base);
+  auto inc = IncrementalLabel::Create(base, AttrMask::FromIndices({0, 1, 2}),
+                                      int64_t{1} << 20, service);
+  ASSERT_TRUE(inc.ok()) << inc.status();
+
+  const FullPatternIndex index = FullPatternIndex::Build(base);
+  const auto estimates = [&] {
+    std::vector<double> out;
+    for (int64_t i = 0; i < index.num_patterns(); ++i) {
+      out.push_back(inc->EstimateFullPattern(index.codes(i), index.width()));
+    }
+    return out;
+  };
+  const std::vector<double> estimates_before = estimates();
+  const LabelDrift drift_before = inc->drift();
+
+  const std::vector<std::string> row(static_cast<size_t>(n), "fresh");
+  auto delta_builder = TableBuilder::Create(base.schema().names());
+  ASSERT_TRUE(delta_builder.ok());
+  ASSERT_TRUE(delta_builder->AddRow(row).ok());
+  ASSERT_TRUE(delta_builder->AddRow(row).ok());
+  const Table delta = delta_builder->Build();
+
+  service->SetAppendFaultHookForTest(
+      [](int64_t) { return InternalError("injected append fault"); });
+  EXPECT_EQ(inc->AppendRow(row).code(), StatusCode::kInternal);
+  EXPECT_EQ(inc->AppendTable(delta).code(), StatusCode::kInternal);
+
+  EXPECT_EQ(inc->total_rows(), base.num_rows());
+  const LabelDrift drift = inc->drift();
+  EXPECT_EQ(drift.base_rows, drift_before.base_rows);
+  EXPECT_EQ(drift.appended_rows, drift_before.appended_rows);
+  EXPECT_EQ(drift.base_patterns, drift_before.base_patterns);
+  EXPECT_EQ(drift.new_patterns, drift_before.new_patterns);
+  EXPECT_EQ(drift.bound_exceeded, drift_before.bound_exceeded);
+  EXPECT_EQ(estimates(), estimates_before);
+  EXPECT_EQ(inc->ValueCount(0, "fresh"), 0);
+  EXPECT_EQ(service->total_rows(), base.num_rows());
+
+  // Once the service accepts, the same appends land in both.
+  service->SetAppendFaultHookForTest(nullptr);
+  ASSERT_TRUE(inc->AppendRow(row).ok());
+  ASSERT_TRUE(inc->AppendTable(delta).ok());
+  EXPECT_EQ(inc->total_rows(), base.num_rows() + 3);
+  EXPECT_EQ(inc->ValueCount(0, "fresh"), 3);
+  EXPECT_EQ(service->total_rows(), base.num_rows() + 3);
 }
 
 TEST(IncrementalLabelTest, RandomizedDifferentialAgainstRebuild) {

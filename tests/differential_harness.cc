@@ -213,9 +213,10 @@ std::shared_ptr<CountingService> DifferentialHarness::Run(
   }
 
   if (!workload_.append_rows.empty()) {
-    // Appends flow through IncrementalLabel — the production write path:
-    // it interns fresh values into the shared code space and notifies
-    // the service's invalidate-or-patch hook.
+    // Appends flow through IncrementalLabel, which commits each one
+    // through the service's group commit (AppendStrings / AppendTable —
+    // the write path api::Session uses too) before applying it to its
+    // own state.
     auto label = IncrementalLabel::Create(
         base_, AttrMask::FromIndices({0, 1}), int64_t{1} << 20, service);
     if (!label.ok()) {

@@ -61,7 +61,7 @@ struct DifferentialConfig {
   /// Prime every subset's PC set before the appends (exercises the
   /// patch arm on a full cache; otherwise the cache starts cold).
   bool warm_cache_first = false;
-  /// Append through one bulk AppendRows call instead of row-at-a-time
+  /// Append through one bulk AppendTable call instead of row-at-a-time
   /// AppendRow calls (exercises the invalidate-or-patch cost pivot).
   bool bulk_append = false;
 };
@@ -88,7 +88,7 @@ class DifferentialHarness {
 
   /// Runs one configuration: builds a CountingService over base(),
   /// optionally warms it, replays the appends through the service's
-  /// invalidate-or-patch hook, optionally compacts, then asserts that
+  /// group commit, optionally compacts, then asserts that
   /// every attribute subset's PC set, |P_S| (budgeted and exact) and
   /// combo count are byte-identical to the one-shot counters over
   /// reference() — which are themselves cross-checked across every

@@ -1,10 +1,12 @@
 // Tests for the fully general append path: the sort-fallback delta
-// route for subsets whose nullable key space overflows 64 bits, delta
-// compaction into the engine-owned columnar base, appends against a
-// disabled engine, and compaction firing in the middle of a sizing
-// sweep — all byte-identical to a from-scratch rebuild under the
-// differential harness.
+// route for subsets whose nullable key space overflows 64 bits (through
+// an incremental label and straight through the service's group
+// commit), delta compaction into the engine-owned columnar base,
+// appends against a disabled engine, and compaction firing in the
+// middle of a sizing sweep — all byte-identical to a from-scratch
+// rebuild under the differential harness.
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,44 @@ TEST(AppendPathTest, SortFallbackDeltaMatchesRebuildAcrossConfigs) {
   // part of the workload.
   DifferentialHarness harness(HighCardinalityWorkload(5, 30));
   harness.CheckAll();
+}
+
+TEST(AppendPathTest, SortFallbackDeltaThroughServiceGroupCommit) {
+  // The same non-encodable workload appended straight through the
+  // service's string-level group commit: row-at-a-time (the patch arm),
+  // as one AppendStrings batch, and as one AppendTable delta — against a
+  // warm cache so the patch-or-invalidate pivot sees real entries.
+  DifferentialWorkload workload = HighCardinalityWorkload(7, 30);
+  DifferentialHarness harness(workload);
+  const int n = harness.base().num_attributes();
+  auto delta_builder = TableBuilder::Create(workload.attribute_names);
+  ASSERT_TRUE(delta_builder.ok());
+  for (const auto& row : workload.append_rows) {
+    ASSERT_TRUE(delta_builder->AddRow(row).ok());
+  }
+  const Table delta = delta_builder->Build();
+
+  for (const char* arm : {"row-at-a-time", "strings-batch", "table"}) {
+    auto service = std::make_shared<CountingService>(harness.base());
+    {
+      std::lock_guard<std::mutex> lock(service->mutex());
+      ForEachSubsetOf(AttrMask::All(n), [&](AttrMask s) {
+        if (s.Count() >= 2) service->engine().PatternCounts(s);
+      });
+    }
+    const std::string name = arm;
+    if (name == "row-at-a-time") {
+      for (const auto& row : workload.append_rows) {
+        ASSERT_TRUE(service->AppendStrings({row}).ok()) << arm;
+      }
+    } else if (name == "strings-batch") {
+      ASSERT_TRUE(service->AppendStrings(workload.append_rows).ok()) << arm;
+    } else {
+      ASSERT_TRUE(service->AppendTable(delta).ok()) << arm;
+    }
+    DifferentialHarness::CheckServiceAgainst(*service, harness.reference(),
+                                             name);
+  }
 }
 
 TEST(AppendPathTest, NullOnlyAppendsStayExact) {

@@ -143,7 +143,7 @@ TEST(CountingServiceTest, ReconfigureShrinksToBudgetWithoutGoingStale) {
   EXPECT_GT(service.stats().cached_groups, 0);
   CountingEngineOptions tight;
   tight.cache_budget = 0;
-  service.Configure(tight);
+  service.engine().Reconfigure(tight);
   EXPECT_EQ(service.stats().cached_groups, 0);
   // Still exact after the purge.
   ForEachSubsetOfSize(7, 2, [&](AttrMask s) {

@@ -70,7 +70,6 @@ TEST(QueryKeyTest, ResultNeutralKnobsAreExcludedFromTheKey) {
   tuned.num_threads = 7;
   tuned.use_counting_engine = false;
   tuned.counting_cache_budget = 0;
-  tuned.use_wave_scheduler = false;
   tuned.use_result_cache = false;
   tuned.result_cache_budget = 12345;
   EXPECT_EQ(CanonicalQueryKey(plain, kFingerprint),

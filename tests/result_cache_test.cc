@@ -13,8 +13,6 @@
 //    LRU-first, keeps answers exact, and accounts the bytes;
 //  * dedup-only mode — budget 0 parks concurrent identicals but caches
 //    no completed results;
-//  * the serialized arm — sessions holding the whole-service lock never
-//    park on a leader (deadlock-free by construction), they bypass;
 //  * true-count and profile queries ride the tier like searches do.
 #include <algorithm>
 #include <memory>
@@ -88,7 +86,6 @@ TEST(ResultCacheTest, CacheGridMatchesDisabledReferenceAcrossSessions) {
 
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
-  reference_options.use_wave_scheduler = false;
   LabelSearch reference(table);
   const SearchResult want = reference.TopDown(reference_options);
 
@@ -163,7 +160,6 @@ TEST(ResultCacheTest, ConcurrentIdenticalQueriesShareOneExecution) {
 
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
-  reference_options.use_wave_scheduler = false;
   LabelSearch reference(table);
   const SearchResult want = reference.TopDown(reference_options);
   const int64_t cold_full_scans =
@@ -202,8 +198,7 @@ TEST(ResultCacheTest, ConcurrentIdenticalQueriesShareOneExecution) {
   EXPECT_EQ(stats.inflight_joins, kQueries - 1);
   EXPECT_EQ(stats.hits, 0);
   // K identical queries, at most one execution's worth of engine work
-  // (the single scheduled run may even roll up below the serialized
-  // solo count).
+  // (the single run may even roll up below the solo count).
   EXPECT_GT(dataset.service()->StatsSnapshot().full_scans, 0);
   EXPECT_LE(dataset.service()->StatsSnapshot().full_scans,
             cold_full_scans);
@@ -223,7 +218,6 @@ TEST(ResultCacheTest, AppendInvalidatesBeforeAnyStaleReadCanHappen) {
 
   SearchOptions base_options;
   base_options.size_bound = kBound;
-  base_options.use_wave_scheduler = false;
   LabelSearch base_search(harness.base());
   const SearchResult base_want = base_search.TopDown(base_options);
   LabelSearch extended_search(harness.reference());
@@ -335,35 +329,6 @@ TEST(ResultCacheTest, ZeroBudgetDedupsButCachesNothing) {
   EXPECT_EQ(stats.insertions, 0);
   EXPECT_EQ(stats.entries, 0);
   EXPECT_EQ(stats.bytes, 0);
-}
-
-// The serialized arm holds the whole-service lock for the query's
-// duration, so parking on another query's future could deadlock — those
-// queries must never join; they lead, hit, or bypass.
-TEST(ResultCacheTest, SerializedQueriesNeverParkOnALeader)  {
-  Table table = workload::MakeCompas(800, 113).value();
-  Dataset dataset = PrivateDataset(table);
-  SessionOptions options;
-  options.num_threads = 1;
-  options.use_wave_scheduler = false;
-
-  constexpr int kSessions = 4;
-  std::vector<std::unique_ptr<Session>> sessions;
-  std::vector<QueryFuture> futures;
-  for (int i = 0; i < kSessions; ++i) {
-    sessions.push_back(OpenSession(dataset, options));
-    auto future = sessions.back()->Submit(QuerySpec::LabelSearch(45));
-    ASSERT_TRUE(future.ok()) << future.status();
-    futures.push_back(*future);
-  }
-  for (int i = 0; i < kSessions; ++i) {
-    const QueryResult& r = futures[static_cast<size_t>(i)].Get();
-    ASSERT_TRUE(r.status.ok()) << r.status;
-  }
-
-  const ResultTierStats stats = dataset.service()->result_tier_stats();
-  EXPECT_EQ(stats.inflight_joins, 0);
-  EXPECT_EQ(stats.hits + stats.misses + stats.bypasses, kSessions);
 }
 
 // True counts and profiles ride the tier exactly like searches.

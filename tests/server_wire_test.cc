@@ -2,7 +2,7 @@
 //
 //  * round-trip identity for every QuerySpec kind and field — focus
 //    masks, pattern terms, the consumer-side PortableLabel, and all
-//    seven per-query overrides;
+//    six per-query overrides;
 //  * byte stability against pinned golden buffers — the encoding is a
 //    contract, a silent change breaks deployed clients;
 //  * QueryResult round trips for all three kinds (search with
@@ -12,8 +12,10 @@
 //  * the bounded-read decoder: corrupt magic, wrong version, unknown
 //    type, an oversized length field (rejected before any allocation —
 //    the PR 1 corrupted-length fix, applied to the socket), truncated
-//    payloads, trailing bytes, and hostile string lengths all decode to
-//    kInvalidArgument, never to a crash or an attacker-sized buffer.
+//    payloads, trailing bytes, hostile string lengths, and query specs
+//    setting unknown or retired presence bits all decode to
+//    kInvalidArgument, never to a crash, an attacker-sized buffer, or a
+//    silently misread spec.
 #include "server/wire.h"
 
 #include <cstring>
@@ -33,10 +35,22 @@ namespace {
 using api::QuerySpec;
 
 // --- golden buffers ---------------------------------------------------------
-// Pinned bytes of the v1 encoding. Extending the protocol means a new
+// Pinned bytes of the encoding. Extending the protocol means a new
 // version or appended fields, never a change to these buffers.
 
+// Every override set (presence bits 0x6f).
 constexpr char kGoldenSearchSpec[] =
+    "\x00\x01\x40\x00\x00\x00\x00\x00\x00\x00\x03\x00"
+    "\x00\x00\x00\x00\x00\xf8\x3f\x01\x0b\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x6f\x00\x03"
+    "\x00\x00\x00\x00\x00\x00\x00\x01\x00\x10\x00\x00"
+    "\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00"
+    "\x01\x00\x00\x10\x00\x00\x00\x00\x00";
+
+// The same spec as an older client encoded it, with the retired
+// scheduler override (presence bit 4, one byte after the morsel rows)
+// set. Decoding must refuse it rather than misread the fields after it.
+constexpr char kRetiredSchedulerBitSpec[] =
     "\x00\x01\x40\x00\x00\x00\x00\x00\x00\x00\x03\x00"
     "\x00\x00\x00\x00\x00\xf8\x3f\x01\x0b\x00\x00\x00"
     "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x7f\x00\x03"
@@ -73,7 +87,6 @@ QuerySpec FullSearchSpec() {
   spec.use_counting_engine = true;
   spec.counting_cache_budget = 4096;
   spec.min_rows_per_morsel = 2048;
-  spec.use_wave_scheduler = false;
   spec.use_result_cache = true;
   spec.result_cache_budget = 1 << 20;
   return spec;
@@ -119,7 +132,6 @@ TEST(WireSpecTest, SearchSpecRoundTripsEveryField) {
   EXPECT_EQ(got.use_counting_engine, spec.use_counting_engine);
   EXPECT_EQ(got.counting_cache_budget, spec.counting_cache_budget);
   EXPECT_EQ(got.min_rows_per_morsel, spec.min_rows_per_morsel);
-  EXPECT_EQ(got.use_wave_scheduler, spec.use_wave_scheduler);
   EXPECT_EQ(got.use_result_cache, spec.use_result_cache);
   EXPECT_EQ(got.result_cache_budget, spec.result_cache_budget);
 }
@@ -130,7 +142,6 @@ TEST(WireSpecTest, UnsetOverridesStayUnset) {
   EXPECT_FALSE(got.use_counting_engine.has_value());
   EXPECT_FALSE(got.counting_cache_budget.has_value());
   EXPECT_FALSE(got.min_rows_per_morsel.has_value());
-  EXPECT_FALSE(got.use_wave_scheduler.has_value());
   EXPECT_FALSE(got.use_result_cache.has_value());
   EXPECT_FALSE(got.result_cache_budget.has_value());
   EXPECT_EQ(got.label, nullptr);
@@ -283,6 +294,31 @@ TEST(WireReaderTest, HostileStringLengthIsBoundsChecked) {
   EXPECT_TRUE(in.Str().empty());
   EXPECT_FALSE(in.ok());
   EXPECT_EQ(in.Finish().code(), StatusCode::kInvalidArgument);
+}
+
+// The presence bitmap is the last thing before the override fields: a
+// bit the decoder does not know would shift every field after it, so
+// the spec is refused instead of decoded into garbage.
+TEST(WireReaderTest, RetiredAndUnknownPresenceBitsAreRejected) {
+  wire::Reader retired(std::string_view(
+      kRetiredSchedulerBitSpec, sizeof(kRetiredSchedulerBitSpec) - 1));
+  EXPECT_EQ(wire::DecodeQuerySpec(retired).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A profile spec ends in its two-byte presence bitmap.
+  const std::string profile = EncodeSpec(QuerySpec::Profile());
+  const size_t at = profile.size() - 2;
+  for (int bit = 4; bit < 16; ++bit) {
+    if (bit == 5 || bit == 6) continue;  // known: result-cache overrides
+    std::string bytes = profile;
+    const uint16_t present = static_cast<uint16_t>(1u << bit);
+    std::memcpy(&bytes[at], &present, sizeof(present));
+    bytes += std::string(8, '\0');  // room for whatever the bit claims
+    wire::Reader in(bytes);
+    EXPECT_EQ(wire::DecodeQuerySpec(in).status().code(),
+              StatusCode::kInvalidArgument)
+        << "bit " << bit;
+  }
 }
 
 TEST(WireReaderTest, TrailingBytesFailFinish) {

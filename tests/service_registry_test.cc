@@ -233,9 +233,13 @@ TEST(ServiceRegistryTest, AppendedDataCountsTowardResidentBytes) {
   const int64_t before = registry.ResidentBytes();
   const int n = t.num_attributes();
   {
-    std::vector<ValueId> row(static_cast<size_t>(n), 0);
-    std::vector<std::vector<ValueId>> rows(16, row);
-    service->AppendRows(rows);
+    // Sixteen copies of a row of already-interned values: the commit
+    // grows the delta block and nothing else.
+    std::vector<std::string> row;
+    for (int a = 0; a < n; ++a) row.push_back(t.dictionary(a).GetString(0));
+    ASSERT_TRUE(service->AppendStrings(
+                           std::vector<std::vector<std::string>>(16, row))
+                    .ok());
   }
   const int64_t with_delta = registry.ResidentBytes();
   EXPECT_EQ(with_delta - before,
@@ -356,19 +360,20 @@ TEST(ServiceRegistryTest, StressSharedAcquireWithAppendsAndTrims) {
   Table reader_table = workload::MakeCompas(1200, 51).value();
 
   ServiceRegistry registry;
-  // Appended codes are precomputed against the base dictionaries (the
-  // appender thread must not race anyone through a dictionary).
-  std::vector<std::vector<ValueId>> append_codes;
+  // The appended rows as strings, read off the rebuilt reference; the
+  // service interns them centrally in commit order, exactly as the
+  // rebuild did.
+  std::vector<std::vector<std::string>> append_rows;
   {
     const Table& reference = harness.reference();
     const int n = reference.num_attributes();
     for (int64_t r = harness.base().num_rows(); r < reference.num_rows();
          ++r) {
-      std::vector<ValueId> row(static_cast<size_t>(n));
+      std::vector<std::string> row(static_cast<size_t>(n));
       for (int a = 0; a < n; ++a) {
-        row[static_cast<size_t>(a)] = reference.value(r, a);
+        row[static_cast<size_t>(a)] = reference.ValueString(r, a);
       }
-      append_codes.push_back(std::move(row));
+      append_rows.push_back(std::move(row));
     }
   }
 
@@ -423,9 +428,11 @@ TEST(ServiceRegistryTest, StressSharedAcquireWithAppendsAndTrims) {
     while (started.load() < kThreads + 2) {
     }
     for (int b = 0; b < kAppendBatches; ++b) {
-      append_service->AppendRows(
-          {append_codes[static_cast<size_t>(2 * b)],
-           append_codes[static_cast<size_t>(2 * b + 1)]});
+      PCBL_CHECK(append_service
+                     ->AppendStrings(
+                         {append_rows[static_cast<size_t>(2 * b)],
+                          append_rows[static_cast<size_t>(2 * b + 1)]})
+                     .ok());
     }
   });
   // Trimmer: flip the budget so evictions race the acquires. The

@@ -1,12 +1,23 @@
 // Tests for the NP-hardness reduction (Theorem 2.17 / appendix A):
-// structural lemmas A.5 and A.8, and the end-to-end equivalence of
-// Proposition A.4 on exhaustive families of small graphs.
+// structural lemmas A.5 and A.8, the end-to-end equivalence of
+// Proposition A.4 on exhaustive families of small graphs, and the
+// decision sweep running concurrently with sessions on its shared
+// registry service.
 #include "theory/reduction.h"
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/dataset.h"
+#include "api/query.h"
+#include "api/session.h"
 #include "core/label.h"
+#include "core/search.h"
 #include "pattern/counter.h"
+#include "pattern/service_registry.h"
 #include "relation/stats.h"
 #include "theory/graph.h"
 
@@ -215,6 +226,76 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The sweep is admitted like any query on the instance's registry
+// service: four concurrent sweeps beside a Session search on that same
+// service must each answer exactly as they do solo.
+TEST(TheoryReductionTest, ConcurrentSweepsBesideASessionMatchSolo) {
+  ServiceRegistry::Global().Clear();
+  const Graph g = MakeSquare();
+  auto inst = BuildReduction(g);
+  ASSERT_TRUE(inst.ok()) << inst.status();
+  const std::vector<int64_t> bounds = {ReductionSizeBound(g, 1),
+                                       ReductionSizeBound(g, 2),
+                                       ReductionSizeBound(g, 3)};
+  std::vector<bool> solo;
+  for (const int64_t bound : bounds) {
+    solo.push_back(ExistsZeroErrorLabel(*inst, bound));
+  }
+  ASSERT_EQ(solo, (std::vector<bool>{false, true, true}));
+
+  const int64_t search_bound = ReductionSizeBound(g, 2);
+  LabelSearch reference(inst->table);  // a fresh private service
+  SearchOptions reference_options;
+  reference_options.size_bound = search_bound;
+  const SearchResult want = reference.TopDown(reference_options);
+
+  // Cold again, so the concurrent sweeps really size through waves.
+  ServiceRegistry::Global().Clear();
+  auto dataset = api::Dataset::FromTable(inst->table);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  ASSERT_EQ(dataset->service().get(),
+            ServiceRegistry::Global().Acquire(inst->table).get())
+      << "the session and the sweeps must share one registry service";
+  auto session = api::Session::Open(*dataset);
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  constexpr int kSweepers = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<bool>> got(
+      kSweepers, std::vector<bool>(bounds.size(), false));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSweepers; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kSweepers + 1) {
+      }
+      // Staggered bound order, so different sweeps overlap.
+      for (size_t i = 0; i < bounds.size(); ++i) {
+        const size_t b = (i + static_cast<size_t>(t)) % bounds.size();
+        got[static_cast<size_t>(t)][b] =
+            ExistsZeroErrorLabel(*inst, bounds[b]);
+      }
+    });
+  }
+  ready.fetch_add(1);
+  while (ready.load() < kSweepers + 1) {
+  }
+  const api::QueryResult searched =
+      (*session)->Run(api::QuerySpec::LabelSearch(search_bound));
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kSweepers; ++t) {
+    EXPECT_EQ(got[static_cast<size_t>(t)], solo) << "sweeper " << t;
+  }
+  ASSERT_TRUE(searched.status.ok()) << searched.status;
+  EXPECT_EQ(searched.search.best_attrs.bits(), want.best_attrs.bits());
+  EXPECT_EQ(searched.search.label.size(), want.label.size());
+  EXPECT_EQ(searched.search.error.max_abs, want.error.max_abs);
+  EXPECT_EQ(searched.search.error.mean_abs, want.error.mean_abs);
+  EXPECT_EQ(searched.search.error.evaluated, want.error.evaluated);
+  ServiceRegistry::Global().Clear();
+}
 
 }  // namespace
 }  // namespace theory

@@ -1,10 +1,10 @@
 // Tests for the cross-query wave scheduler (PR 5):
 //
-//  * the differential arm of the concurrency model — scheduler on/off ×
-//    1..8 concurrent sessions over one shared service, byte-identical
-//    labels against the serialized solo reference, and a full_scans
+//  * the differential arm of the concurrency model — 1..8 concurrent
+//    sessions over one shared service, byte-identical labels against a
+//    solo search on a fresh private LabelSearch, and a full_scans
 //    ceiling (concurrent sessions never scan more than one cold solo
-//    search; the serialized arm stays *exactly* at the solo count);
+//    search);
 //  * merged budgets: concurrent searches with different size bounds stay
 //    byte-identical to their solo references (a wave folded into a more
 //    generous budget may return exact values above a requester's bound —
@@ -78,63 +78,47 @@ void ExpectSameSearchResult(const SearchResult& got,
   EXPECT_EQ(got.error.evaluated, want.error.evaluated) << context;
 }
 
-// The differential arm: scheduler on/off × 1..8 concurrent sessions over
-// one shared (private) service, every label byte-identical to a solo
-// serialized search, full_scans bounded by one cold solo search.
-TEST(WaveSchedulerTest, SchedulerGridMatchesSerializedAcrossSessions) {
+// The differential arm: 1..8 concurrent sessions over one shared
+// (private) service, every label byte-identical to a solo search on a
+// fresh private LabelSearch, full_scans bounded by that cold solo search.
+TEST(WaveSchedulerTest, SchedulerGridMatchesSoloReferenceAcrossSessions) {
   constexpr int64_t kRows = 1800;
   constexpr uint64_t kSeed = 67;
   constexpr int64_t kBound = 60;
   Table table = workload::MakeCompas(kRows, kSeed).value();
 
-  // Solo serialized reference + the cold scan count that is the ceiling.
+  // Solo reference + the cold scan count that is the ceiling.
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
-  reference_options.use_wave_scheduler = false;
   LabelSearch reference(table);
   const SearchResult want = reference.TopDown(reference_options);
   const int64_t cold_full_scans =
       reference.counting_service()->stats().full_scans;
   ASSERT_GT(cold_full_scans, 0);
 
-  for (const bool scheduler_on : {true, false}) {
-    for (const int num_sessions : {1, 2, 4, 8}) {
-      const std::string arm =
-          std::string(scheduler_on ? "scheduler" : "serialized") + "/x" +
-          std::to_string(num_sessions);
-      Dataset dataset = PrivateDataset(table);  // one service per arm
-      SessionOptions options;
-      options.num_threads = 1;
-      options.use_wave_scheduler = scheduler_on;
-      std::vector<std::unique_ptr<Session>> sessions;
-      std::vector<QueryFuture> futures;
-      for (int i = 0; i < num_sessions; ++i) {
-        sessions.push_back(OpenSession(dataset, options));
-        auto future =
-            sessions.back()->Submit(QuerySpec::LabelSearch(kBound));
-        ASSERT_TRUE(future.ok()) << arm << ": " << future.status();
-        futures.push_back(*future);
-      }
-      for (int i = 0; i < num_sessions; ++i) {
-        const QueryResult& r = futures[static_cast<size_t>(i)].Get();
-        ASSERT_TRUE(r.status.ok()) << arm << ": " << r.status;
-        ExpectSameSearchResult(r.search, want,
-                               arm + "/s" + std::to_string(i));
-      }
-      const int64_t full_scans =
-          dataset.service()->StatsSnapshot().full_scans;
-      if (scheduler_on) {
-        // Merged waves + the warm cache: never more work than one cold
-        // solo search (out-of-phase queries may even roll up and do
-        // less).
-        EXPECT_LE(full_scans, cold_full_scans) << arm;
-        EXPECT_GT(full_scans, 0) << arm;
-      } else {
-        // The serialized arm reproduces the solo search exactly, N
-        // times over one warm cache.
-        EXPECT_EQ(full_scans, cold_full_scans) << arm;
-      }
+  for (const int num_sessions : {1, 2, 4, 8}) {
+    const std::string arm = "x" + std::to_string(num_sessions);
+    Dataset dataset = PrivateDataset(table);  // one service per arm
+    SessionOptions options;
+    options.num_threads = 1;
+    std::vector<std::unique_ptr<Session>> sessions;
+    std::vector<QueryFuture> futures;
+    for (int i = 0; i < num_sessions; ++i) {
+      sessions.push_back(OpenSession(dataset, options));
+      auto future = sessions.back()->Submit(QuerySpec::LabelSearch(kBound));
+      ASSERT_TRUE(future.ok()) << arm << ": " << future.status();
+      futures.push_back(*future);
     }
+    for (int i = 0; i < num_sessions; ++i) {
+      const QueryResult& r = futures[static_cast<size_t>(i)].Get();
+      ASSERT_TRUE(r.status.ok()) << arm << ": " << r.status;
+      ExpectSameSearchResult(r.search, want, arm + "/s" + std::to_string(i));
+    }
+    // Merged waves + the warm cache: never more work than one cold solo
+    // search (out-of-phase queries may even roll up and do less).
+    const int64_t full_scans = dataset.service()->StatsSnapshot().full_scans;
+    EXPECT_LE(full_scans, cold_full_scans) << arm;
+    EXPECT_GT(full_scans, 0) << arm;
   }
 }
 
@@ -150,7 +134,6 @@ TEST(WaveSchedulerTest, MixedBoundsStayByteIdenticalUnderMerging) {
     LabelSearch solo(table);
     SearchOptions options;
     options.size_bound = bound;
-    options.use_wave_scheduler = false;
     want.push_back(solo.TopDown(options));
   }
 
@@ -189,7 +172,6 @@ TEST(WaveSchedulerTest, ConcurrentSearchesAfterAppendMatchRebuild) {
 
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
-  reference_options.use_wave_scheduler = false;
   LabelSearch rebuilt(harness.reference());
   const SearchResult want = rebuilt.TopDown(reference_options);
 
