@@ -1,6 +1,7 @@
 #include "pattern/counting_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "pattern/packed_codec.h"
@@ -96,7 +97,8 @@ CountingEngine::CountingEngine(const Table& table,
                                CountingEngineOptions options)
     : table_(&table), options_(options) {}
 
-CountingEngine::Plan CountingEngine::MakePlan(AttrMask mask) const {
+CountingEngine::Plan CountingEngine::MakePlan(AttrMask mask,
+                                              int64_t budget) const {
   Plan plan;
   auto it = cache_.find(mask.bits());
   if (it != cache_.end()) {
@@ -114,8 +116,45 @@ CountingEngine::Plan CountingEngine::MakePlan(AttrMask mask) const {
     auto anc = cache_.find(best->mask.bits());
     PCBL_DCHECK(anc != cache_.end());
     plan.ancestor = anc->second;
+    return plan;
   }
+  // Sibling refinement: a budgeted gen() child S ∪ {a}, a = max, is sized
+  // from the cached PC set of S when every row maps to exactly one of its
+  // groups (NULL-free attributes) and S packs into one code.
+  if (budget < 0 || mask.Count() < 3) return plan;
+  const AttrMask parent = mask.Without(mask.MaxIndex());
+  auto par = cache_.find(parent.bits());
+  if (par == cache_.end()) return plan;
+  int64_t doms[kMaxAttributes];
+  int width = 0;
+  for (uint64_t b = parent.bits(); b != 0; b &= b - 1) {
+    const int a = std::countr_zero(b);
+    if (AttrHasNulls(a)) return plan;
+    doms[width++] = DomSizeOf(a);
+  }
+  if (MakePackedLayout(doms, width).ok) plan.parent = par->second;
   return plan;
+}
+
+SubsetColumns CountingEngine::ScanView(const std::vector<int>& attrs) const {
+  // The effective base columns (the table, or the compacted storage once
+  // deltas were folded) plus any uncompacted delta rows.
+  SubsetColumns view;
+  view.width = static_cast<int>(attrs.size());
+  view.rows = base_rows();
+  for (size_t j = 0; j < attrs.size(); ++j) {
+    view.cols[j] = BaseColumn(attrs[j]);
+    view.nullable[j] = BaseHasNulls(attrs[j]);
+  }
+  if (!delta_rows_.empty()) {
+    view.delta = delta_rows_.data();
+    view.delta_rows = num_delta_rows();
+    view.delta_stride = table_->num_attributes();
+    for (size_t j = 0; j < attrs.size(); ++j) {
+      view.delta_attr[j] = attrs[j];
+    }
+  }
+  return view;
 }
 
 CountingEngine::Sizing CountingEngine::DirectSizing(
@@ -142,24 +181,7 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
   int64_t doms[kMaxAttributes];
   for (size_t j = 0; j < width; ++j) doms[j] = DomSizeOf(attrs[j]);
 
-  // The scanned view streams the effective base columns (the table, or
-  // the compacted storage once deltas were folded) plus any uncompacted
-  // delta rows.
-  SubsetColumns view;
-  view.width = static_cast<int>(width);
-  view.rows = base_rows();
-  for (size_t j = 0; j < width; ++j) {
-    view.cols[j] = BaseColumn(attrs[j]);
-    view.nullable[j] = BaseHasNulls(attrs[j]);
-  }
-  if (!delta_rows_.empty()) {
-    view.delta = delta_rows_.data();
-    view.delta_rows = num_delta_rows();
-    view.delta_stride = table_->num_attributes();
-    for (size_t j = 0; j < width; ++j) {
-      view.delta_attr[j] = attrs[j];
-    }
-  }
+  const SubsetColumns view = ScanView(attrs);
 
   const PackedLayout layout =
       MakePackedLayout(doms, static_cast<int>(width));
@@ -406,6 +428,9 @@ CountingEngine::Sizing CountingEngine::ExecutePlan(AttrMask mask,
     out.size = plan.hit->num_groups();
     return out;
   }
+  if (plan.parent != nullptr) {
+    return std::move(SiblingSizings(*plan.parent, {mask}, budget)[0]);
+  }
   if (plan.ancestor != nullptr && mask.Count() >= 2) {
     std::vector<int> attrs = mask.ToIndices();
     int64_t doms[kMaxAttributes];
@@ -415,6 +440,34 @@ CountingEngine::Sizing CountingEngine::ExecutePlan(AttrMask mask,
     if (encodable) return RollupSizing(*plan.ancestor, mask, budget);
   }
   return DirectSizing(mask, budget, /*materialize=*/true, morsel_threads);
+}
+
+std::vector<CountingEngine::Sizing> CountingEngine::SiblingSizings(
+    const GroupCounts& parent, const std::vector<AttrMask>& masks,
+    int64_t budget) const {
+  const std::vector<int>& attrs = parent.attrs();
+  int64_t doms[kMaxAttributes];
+  for (size_t j = 0; j < attrs.size(); ++j) doms[j] = DomSizeOf(attrs[j]);
+  const PackedLayout layout =
+      MakePackedLayout(doms, static_cast<int>(attrs.size()));
+  std::vector<counting::RefineChild> children(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    const int a = masks[i].MaxIndex();
+    children[i] = counting::RefineChild{a, BaseColumn(a), DomSizeOf(a)};
+  }
+  std::vector<counting::RefinedSizing> refined;
+  counting::RefineSiblings(ScanView(attrs), layout, parent, children, budget,
+                           &refined);
+  // A refined sizing is a direct scan, and a full scan when it completes.
+  std::vector<Sizing> out(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    out[i].size = refined[i].size;
+    if (!refined[i].complete) continue;
+    out[i].counts =
+        std::make_shared<const GroupCounts>(std::move(refined[i].counts));
+    out[i].full_scan = true;
+  }
+  return out;
 }
 
 namespace {
@@ -594,14 +647,17 @@ void CountingEngine::ApplyAppend(
       eff_dom_[static_cast<size_t>(a)] =
           static_cast<int64_t>(table_->DomainSize(a));
     }
+    appended_nulls_.assign(static_cast<size_t>(n), false);
   }
   for (const std::vector<ValueId>& row : rows) {
     PCBL_CHECK(static_cast<int>(row.size()) == n)
         << "appended row width mismatches the schema";
     for (int a = 0; a < n; ++a) {
       const ValueId v = row[static_cast<size_t>(a)];
-      if (!IsNull(v) &&
-          static_cast<int64_t>(v) >= eff_dom_[static_cast<size_t>(a)]) {
+      if (IsNull(v)) {
+        appended_nulls_[static_cast<size_t>(a)] = true;
+      } else if (static_cast<int64_t>(v) >=
+                 eff_dom_[static_cast<size_t>(a)]) {
         eff_dom_[static_cast<size_t>(a)] = static_cast<int64_t>(v) + 1;
       }
     }
@@ -688,8 +744,8 @@ int64_t CountingEngine::CountPatterns(AttrMask mask, int64_t budget) {
     return sizing.counts != nullptr ? sizing.counts->num_groups()
                                     : sizing.size;
   }
-  Sizing sizing =
-      ExecutePlan(mask, MakePlan(mask), budget, options_.num_threads);
+  Sizing sizing = ExecutePlan(mask, MakePlan(mask, budget), budget,
+                              options_.num_threads);
   Commit(mask, sizing);
   return sizing.counts != nullptr ? sizing.counts->num_groups()
                                   : sizing.size;
@@ -718,15 +774,44 @@ std::vector<int64_t> CountingEngine::CountPatternsBatchCollect(
   // committed serially in input order — cache contents and stats are
   // therefore identical for any thread count.
   std::vector<Plan> plans(masks.size());
-  for (size_t i = 0; i < masks.size(); ++i) plans[i] = MakePlan(masks[i]);
+  for (size_t i = 0; i < masks.size(); ++i) {
+    plans[i] = MakePlan(masks[i], budget);
+  }
+  // Work units: the masks refined from one cached parent share a single
+  // scan (grouped in first-seen order); every other mask is its own unit.
+  std::vector<std::vector<size_t>> units;
+  std::unordered_map<uint64_t, size_t> unit_of_parent;
+  for (size_t i = 0; i < masks.size(); ++i) {
+    if (plans[i].parent == nullptr) {
+      units.push_back({i});
+      continue;
+    }
+    auto [it, fresh] =
+        unit_of_parent.emplace(plans[i].parent->mask().bits(), units.size());
+    if (fresh) units.emplace_back();
+    units[it->second].push_back(i);
+  }
   std::vector<Sizing> outcomes(masks.size());
   const int morsel_threads =
       BatchMorselThreads(masks.size(), options_.num_threads);
-  ParallelFor(static_cast<int64_t>(masks.size()), options_.num_threads,
-              [&](int64_t i) {
-                const size_t s = static_cast<size_t>(i);
-                outcomes[s] =
-                    ExecutePlan(masks[s], plans[s], budget, morsel_threads);
+  ParallelFor(static_cast<int64_t>(units.size()), options_.num_threads,
+              [&](int64_t u) {
+                const std::vector<size_t>& unit =
+                    units[static_cast<size_t>(u)];
+                if (unit.size() == 1) {
+                  const size_t s = unit[0];
+                  outcomes[s] =
+                      ExecutePlan(masks[s], plans[s], budget, morsel_threads);
+                  return;
+                }
+                std::vector<AttrMask> siblings;
+                siblings.reserve(unit.size());
+                for (size_t s : unit) siblings.push_back(masks[s]);
+                std::vector<Sizing> sized =
+                    SiblingSizings(*plans[unit[0]].parent, siblings, budget);
+                for (size_t k = 0; k < unit.size(); ++k) {
+                  outcomes[unit[k]] = std::move(sized[k]);
+                }
               });
   for (size_t i = 0; i < masks.size(); ++i) {
     // A mask repeated within one batch commits once; later copies become
@@ -759,8 +844,9 @@ int64_t CountingEngine::CountCombos(AttrMask mask, int64_t budget) {
   int64_t doms[kMaxAttributes];
   for (size_t j = 0; j < width; ++j) doms[j] = DomSizeOf(attrs[j]);
   // Disabled engines must not serve memoized answers.
-  Plan plan =
-      (options_.enabled && width >= 2) ? MakePlan(mask) : Plan{};
+  Plan plan = (options_.enabled && width >= 2)
+                  ? MakePlan(mask, /*budget=*/-1)
+                  : Plan{};
   if (plan.hit != nullptr) {
     // Full combos are exactly the fully-bound groups of the PC set (each
     // a distinct key), since |mask| >= 2 restrictions are all stored.
@@ -873,8 +959,8 @@ std::shared_ptr<const GroupCounts> CountingEngine::PatternCounts(
     PCBL_CHECK(sizing.counts != nullptr);
     return sizing.counts;
   }
-  Sizing sizing = ExecutePlan(mask, MakePlan(mask), /*budget=*/-1,
-                              options_.num_threads);
+  Sizing sizing = ExecutePlan(mask, MakePlan(mask, /*budget=*/-1),
+                              /*budget=*/-1, options_.num_threads);
   Commit(mask, sizing);
   PCBL_CHECK(sizing.counts != nullptr);  // unbudgeted sizing materializes
   return sizing.counts;
@@ -892,7 +978,9 @@ CountingEngine::PatternCountsBatch(const std::vector<AttrMask>& masks) {
   // Same discipline as CountPatternsBatch: serial plans, parallel
   // execution, serial input-order commits.
   std::vector<Plan> plans(masks.size());
-  for (size_t i = 0; i < masks.size(); ++i) plans[i] = MakePlan(masks[i]);
+  for (size_t i = 0; i < masks.size(); ++i) {
+    plans[i] = MakePlan(masks[i], /*budget=*/-1);
+  }
   std::vector<Sizing> outcomes(masks.size());
   const int morsel_threads =
       BatchMorselThreads(masks.size(), options_.num_threads);
@@ -971,8 +1059,8 @@ std::shared_ptr<const GroupCounts> CountingEngine::PinnedPatternCounts(
     }
     return it->second;
   }
-  Sizing sizing = ExecutePlan(mask, MakePlan(mask), /*budget=*/-1,
-                              options_.num_threads);
+  Sizing sizing = ExecutePlan(mask, MakePlan(mask, /*budget=*/-1),
+                              /*budget=*/-1, options_.num_threads);
   ++stats_.sizings;
   if (sizing.path == Path::kRollup) ++stats_.rollups;
   if (sizing.path == Path::kDirect) {

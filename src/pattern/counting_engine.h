@@ -6,7 +6,7 @@
 // every surviving candidate additionally needs its full PC set to build
 // the label. Calling the one-shot counters in counter.h performs a serial
 // full-table row scan per subset. This engine removes that bottleneck
-// along four axes, while keeping results *byte-identical* to the one-shot
+// along five axes, while keeping results *byte-identical* to the one-shot
 // counters for any thread count and cache budget:
 //
 //  1. Batching — a lattice level's candidate masks are sized together via
@@ -31,6 +31,15 @@
 //     preserved: a tuple's restriction to S is the projection of its
 //     restriction to T, and any restriction dropped from T's PC set
 //     (arity < 2 over T) projects to arity < 2 over S.
+//  5. Sibling refinement — Algorithm 1 only expands within-bound parents,
+//     so a budgeted gen() child S ∪ {a} (a > max(S)) usually finds the
+//     PC set of S cached. When S is NULL-free, every row falls in exactly
+//     one of its groups, and the child's groups are (parent group, value
+//     of a) pairs: a batch's children of one parent are sized together
+//     in one tile scan that encodes the parent once per tile and feeds
+//     every sibling (counting::RefineSiblings). Ascending (group, slot)
+//     is already the child's canonical order. Exact (unbudgeted) calls,
+//     pairs, NULL-bearing and uncached parents keep the direct scan.
 //
 // Fallbacks keep the engine total: masks whose nullable key space
 // overflows 64 bits, or for which no useful cached ancestor exists, take
@@ -72,6 +81,10 @@
 #include "util/attr_mask.h"
 
 namespace pcbl {
+
+namespace counting {
+struct SubsetColumns;
+}  // namespace counting
 
 /// Tuning knobs of the counting engine.
 struct CountingEngineOptions {
@@ -326,13 +339,24 @@ class CountingEngine {
     bool full_scan = false;  // a direct scan ran to completion
   };
 
-  // How a mask will be sized, decided serially against the cache.
+  // How a mask will be sized, decided serially against the cache. The
+  // handles keep their entries alive even if the cache evicts them
+  // before the plan executes.
   struct Plan {
     std::shared_ptr<const GroupCounts> hit;       // exact cache entry
     std::shared_ptr<const GroupCounts> ancestor;  // strict-superset entry
+    // PC set of mask \ {max}: set only for budgeted masks of width >= 3
+    // with no hit and no ancestor, when the parent is cached, NULL-free
+    // and packable (the sibling-refinement input).
+    std::shared_ptr<const GroupCounts> parent;
   };
 
-  Plan MakePlan(AttrMask mask) const;
+  // `budget` < 0 (exact) never plans a refinement parent.
+  Plan MakePlan(AttrMask mask, int64_t budget) const;
+
+  // Column view of `attrs` over the effective base plus any uncompacted
+  // delta rows — what every packed scan streams.
+  counting::SubsetColumns ScanView(const std::vector<int>& attrs) const;
 
   // Executes a plan (thread-safe: touches only the table and the plan's
   // shared entries). `morsel_threads` is the thread budget a direct
@@ -361,6 +385,14 @@ class CountingEngine {
   // Sort-based distinct-combination count over base + delta rows (the
   // non-encodable sibling of the delta-aware combo scan).
   int64_t SortFallbackCombos(AttrMask mask, int64_t budget) const;
+
+  // Sizes the gen() children `masks` (each parent.mask() plus one larger
+  // attribute) from the parent's groups in one shared scan
+  // (counting::RefineSiblings); element i answers masks[i]. Requires a
+  // plan-eligible parent and budget >= 0.
+  std::vector<Sizing> SiblingSizings(const GroupCounts& parent,
+                                     const std::vector<AttrMask>& masks,
+                                     int64_t budget) const;
 
   // Aggregates `ancestor` groups down to `mask`; exact. Aborts past
   // `budget` like DirectSizing. `mask`'s key space must be encodable.
@@ -415,6 +447,12 @@ class CountingEngine {
     return base_rows_ >= 0 ? base_has_nulls_[static_cast<size_t>(attr)]
                            : table_->HasNulls(attr);
   }
+  // Whether any row, base or appended, holds NULL in `attr`.
+  bool AttrHasNulls(int attr) const {
+    return BaseHasNulls(attr) ||
+           (!appended_nulls_.empty() &&
+            appended_nulls_[static_cast<size_t>(attr)]);
+  }
 
   // Resident-bytes cost of one cached entry; tracked in stats_ and the
   // lock-free resident_bytes_ mirror on every insert/evict/patch.
@@ -438,10 +476,11 @@ class CountingEngine {
   SubsetTrie ancestors_;
 
   // Rows appended after construction (row-major, num_attributes stride)
-  // and the effective per-attribute domains they imply (empty until the
-  // first append).
+  // and the effective per-attribute domains and NULL presence they imply
+  // (empty until the first append).
   std::vector<ValueId> delta_rows_;
   std::vector<int64_t> eff_dom_;
+  std::vector<bool> appended_nulls_;
 
   // Compacted base storage: columnar copy of the table plus every delta
   // folded so far. base_rows_ < 0 until the first compaction (scans then

@@ -1,8 +1,10 @@
 #include "pattern/packed_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
+#include <optional>
 
 #include "pattern/kernel_dispatch.h"
 #include "pattern/restriction_codec.h"
@@ -22,6 +24,17 @@ constexpr int64_t kTileRows = 1024;
 // PackedDenseEligible keeps small tables from paying a memset larger
 // than their scan.
 constexpr int kDenseBitsLimit = 26;
+
+// Dense count-array ceiling: 2^22 slots.
+constexpr int kDenseCountBitsLimit = 22;
+
+// The dense count gate on a code space of `space` slots: the array's
+// clear + sweep must stay small next to the row scan (mirrors the dense
+// group-by gate in counter.cc).
+inline bool DenseCountSpaceEligible(int64_t space, int64_t rows) {
+  return space <= (int64_t{1} << kDenseCountBitsLimit) &&
+         space <= 2 * rows + 1024;
+}
 
 // Dropped rows (NULL / arity < 2) encode to this code, one past the top
 // of the packed key space, so the SIMD encoders can run branch-free and
@@ -142,6 +155,156 @@ void ForEachPackedCode(const SubsetColumns& view, const PackedLayout& layout,
     if (code == sentinel) continue;
     if (!emit(code)) return;
   }
+}
+
+// Encodes base rows [base, base + n) of a NULL-free view: every row has
+// full arity, so no row routes to the sentinel. `arity` is scratch for
+// the generic-width gather.
+inline void EncodeNullFreeTile(const SubsetColumns& view,
+                               const PackedLayout& layout,
+                               const SizingKernels& k, int64_t base,
+                               int64_t n, uint64_t* codes, uint8_t* arity) {
+  const uint64_t sentinel = SentinelCode(layout);
+  if (view.width == 2) {
+    EncodeBaseTileA2(view, layout, k, sentinel, base, n, codes);
+    return;
+  }
+  if (view.width == 3) {
+    EncodeBaseTileA3(view, layout, k, sentinel, base, n, codes);
+    return;
+  }
+  std::memset(codes, 0, static_cast<size_t>(n) * sizeof(codes[0]));
+  std::memset(arity, 0, static_cast<size_t>(n) * sizeof(arity[0]));
+  for (int j = 0; j < view.width; ++j) {
+    k.gather_accum(view.cols[j] + base, layout.shift[j],
+                   layout.null_slot[j], n, codes, arity);
+  }
+}
+
+// Parent packed code -> group id (the group's position in the parent's
+// canonical order). A direct-addressed table when the parent's code space
+// is no larger than the scan (its fill is then amortized), otherwise open
+// addressing sized to the parent's groups — L1-resident for within-bound
+// parents either way.
+class GroupIndex {
+ public:
+  GroupIndex(const GroupCounts& parent, const PackedLayout& layout,
+             int64_t rows) {
+    const size_t groups = static_cast<size_t>(parent.num_groups());
+    const bool direct =
+        layout.total_bits <= kDenseCountBitsLimit &&
+        (int64_t{1} << layout.total_bits) <= std::max<int64_t>(rows, 1024);
+    if (direct) {
+      table_.assign(size_t{1} << layout.total_bits, kNoGroup);
+    } else {
+      int log_cap = 4;
+      while ((size_t{1} << log_cap) < groups * 2) ++log_cap;
+      shift_ = 64 - log_cap;
+      mask_ = (size_t{1} << log_cap) - 1;
+      slots_.assign(mask_ + 1, Slot{kEmpty, 0});
+    }
+    for (size_t g = 0; g < groups; ++g) {
+      const ValueId* key = parent.key(static_cast<int64_t>(g));
+      uint64_t code = 0;
+      for (int j = 0; j < layout.width; ++j) {
+        code |= static_cast<uint64_t>(key[j]) << layout.shift[j];
+      }
+      if (direct) {
+        table_[code] = static_cast<uint32_t>(g);
+        continue;
+      }
+      size_t i = Slot0(code);
+      while (slots_[i].code != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = Slot{code, static_cast<uint32_t>(g)};
+    }
+  }
+
+  // Maps n parent codes to their group ids. Every row of a NULL-free
+  // parent has a group; a miss means the parent does not describe the
+  // scanned rows.
+  void Map(const uint64_t* codes, int64_t n, uint32_t* gids) const {
+    if (!table_.empty()) {
+      const uint32_t* table = table_.data();
+      for (int64_t r = 0; r < n; ++r) {
+        const uint32_t g = table[codes[r]];
+        PCBL_CHECK(g != kNoGroup);
+        gids[r] = g;
+      }
+      return;
+    }
+    for (int64_t r = 0; r < n; ++r) {
+      size_t i = Slot0(codes[r]);
+      while (slots_[i].code != codes[r]) {
+        PCBL_CHECK(slots_[i].code != kEmpty);
+        i = (i + 1) & mask_;
+      }
+      gids[r] = slots_[i].gid;
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNoGroup = ~uint32_t{0};
+  static constexpr uint64_t kEmpty = ~uint64_t{0};  // codes are < 2^63
+
+  struct Slot {
+    uint64_t code;
+    uint32_t gid;
+  };
+
+  // Fibonacci hashing: the top bits of one multiply.
+  size_t Slot0(uint64_t code) const {
+    return static_cast<size_t>((code * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  std::vector<uint32_t> table_;  // direct-addressed, or empty
+  std::vector<Slot> slots_;      // open addressing otherwise
+  size_t mask_ = 0;
+  int shift_ = 0;
+};
+
+// One sibling's distinct-code sink: a dense count array over the
+// (group, slot) space, or a budget-reserved hash map.
+struct SiblingSink {
+  int bits = 0;       // bit width of the child's slots [0, dom]
+  uint64_t dom = 0;   // NULL's slot
+  bool live = true;   // still within budget
+  int64_t distinct = 0;
+  std::vector<uint32_t> dense;
+  std::optional<CodeCountMap> map;
+};
+
+// Counts one tile of n rows into a live sibling; value_at(r) reads the
+// child attribute of row r. Returns false at the budget + 1-th distinct
+// code.
+template <typename ValueAt>
+bool FeedSibling(SiblingSink& s, const uint32_t* gids, int64_t n,
+                 int64_t budget, ValueAt&& value_at) {
+  const int bits = s.bits;
+  const uint64_t dom = s.dom;
+  auto code_at = [&](int64_t r) {
+    const ValueId v = value_at(r);
+    return (static_cast<uint64_t>(gids[r]) << bits) |
+           (IsNull(v) ? dom : static_cast<uint64_t>(v));
+  };
+  if (!s.dense.empty()) {
+    uint32_t* c = s.dense.data();
+    int64_t distinct = s.distinct;
+    for (int64_t r = 0; r < n; ++r) {
+      distinct += static_cast<int64_t>(c[code_at(r)]++ == 0);
+      if (distinct > budget) break;
+    }
+    s.distinct = distinct;
+    return distinct <= budget;
+  }
+  CodeCountMap& m = *s.map;
+  for (int64_t r = 0; r < n; ++r) {
+    if (m.Add(static_cast<int64_t>(code_at(r)), 1) && m.size() > budget) {
+      s.distinct = m.size();
+      return false;
+    }
+  }
+  s.distinct = m.size();
+  return true;
 }
 
 // The [lo, hi) slice of the view's concatenated row range (base rows
@@ -266,11 +429,8 @@ int64_t MorselCount(int64_t total_rows, const MorselConfig& morsel) {
 }
 
 bool PackedDenseCountEligible(const PackedLayout& layout, int64_t rows) {
-  if (!layout.ok || layout.total_bits > 22) return false;
-  const int64_t space = int64_t{1} << layout.total_bits;
-  // The count array's clear + sweep must stay small next to the row scan
-  // (mirrors the dense group-by gate in counter.cc).
-  return space <= 2 * rows + 1024;
+  return layout.ok && layout.total_bits <= kDenseCountBitsLimit &&
+         DenseCountSpaceEligible(int64_t{1} << layout.total_bits, rows);
 }
 
 int64_t PackedCountGroupsDense(
@@ -480,6 +640,112 @@ std::vector<std::pair<int64_t, int64_t>> PackedCountGroups(
   });
   PCBL_DCHECK(groups_hint < 0 || counts.rehashes() == 0);
   return counts.Items();
+}
+
+void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
+                    const GroupCounts& parent,
+                    const std::vector<RefineChild>& children, int64_t budget,
+                    std::vector<RefinedSizing>* out) {
+  PCBL_DCHECK(view.width >= 2 && layout.ok && budget >= 0);
+  PCBL_DCHECK(!view.any_nullable());
+  const int64_t groups = parent.num_groups();
+  const int64_t total_rows = view.rows + view.delta_rows;
+  const GroupIndex index(parent, layout, total_rows);
+  std::vector<SiblingSink> sinks(children.size());
+  for (size_t c = 0; c < children.size(); ++c) {
+    SiblingSink& s = sinks[c];
+    s.dom = static_cast<uint64_t>(children[c].dom);
+    s.bits = std::bit_width(s.dom);
+    PCBL_DCHECK(std::bit_width(static_cast<uint64_t>(groups)) + s.bits <=
+                63);
+    if (s.bits <= kDenseCountBitsLimit &&
+        DenseCountSpaceEligible(groups << s.bits, total_rows)) {
+      s.dense.assign(static_cast<size_t>(groups << s.bits), 0);
+    } else {
+      s.map.emplace(SizingReserve(budget, total_rows));
+    }
+  }
+
+  // One tile at a time: encode the parent once, map each row to its
+  // group, then let every live sibling count the tile.
+  const SizingKernels& k = ActiveKernels();
+  size_t live = children.size();
+  uint64_t codes[kTileRows];
+  uint32_t gids[kTileRows];
+  uint8_t arity[kTileRows];
+  for (int64_t base = 0; base < view.rows && live > 0; base += kTileRows) {
+    const int64_t n = std::min(kTileRows, view.rows - base);
+    EncodeNullFreeTile(view, layout, k, base, n, codes, arity);
+    index.Map(codes, n, gids);
+    for (size_t c = 0; c < children.size(); ++c) {
+      SiblingSink& s = sinks[c];
+      if (!s.live) continue;
+      const ValueId* col = children[c].col + base;
+      s.live = FeedSibling(s, gids, n, budget,
+                           [col](int64_t r) { return col[r]; });
+      live -= static_cast<size_t>(!s.live);
+    }
+  }
+  const uint64_t sentinel = SentinelCode(layout);
+  for (int64_t base = 0; base < view.delta_rows && live > 0;
+       base += kTileRows) {
+    const int64_t n = std::min(kTileRows, view.delta_rows - base);
+    for (int64_t r = 0; r < n; ++r) {
+      codes[r] = EncodeDeltaRow(view, layout, sentinel, base + r);
+    }
+    index.Map(codes, n, gids);
+    const ValueId* rows = view.delta + base * view.delta_stride;
+    for (size_t c = 0; c < children.size(); ++c) {
+      SiblingSink& s = sinks[c];
+      if (!s.live) continue;
+      const ValueId* at = rows + children[c].attr;
+      const int64_t stride = view.delta_stride;
+      s.live = FeedSibling(s, gids, n, budget,
+                           [at, stride](int64_t r) { return at[r * stride]; });
+      live -= static_cast<size_t>(!s.live);
+    }
+  }
+
+  out->clear();
+  out->resize(children.size());
+  const size_t width = parent.attrs().size();
+  for (size_t c = 0; c < children.size(); ++c) {
+    const SiblingSink& s = sinks[c];
+    RefinedSizing& o = (*out)[c];
+    o.size = s.distinct;
+    if (!s.live) continue;
+    o.complete = true;
+    // Ascending (group, slot) codes are the child's canonical order:
+    // the child attribute sorts after every parent attribute.
+    GroupCounts& pc = o.counts;
+    GroupCountsAccess::mask(pc) = parent.mask().With(children[c].attr);
+    std::vector<int>& attrs = GroupCountsAccess::attrs(pc);
+    attrs = parent.attrs();
+    attrs.push_back(children[c].attr);
+    std::vector<ValueId>& keys = GroupCountsAccess::keys(pc);
+    std::vector<int64_t>& counts = GroupCountsAccess::counts(pc);
+    keys.reserve(static_cast<size_t>(s.distinct) * (width + 1));
+    counts.reserve(static_cast<size_t>(s.distinct));
+    const uint64_t slot_mask = (uint64_t{1} << s.bits) - 1;
+    auto emit = [&](uint64_t code, int64_t count) {
+      const ValueId* key = parent.key(static_cast<int64_t>(code >> s.bits));
+      keys.insert(keys.end(), key, key + width);
+      const uint64_t slot = code & slot_mask;
+      keys.push_back(slot == s.dom ? kNullValue : static_cast<ValueId>(slot));
+      counts.push_back(count);
+    };
+    if (!s.dense.empty()) {
+      for (size_t code = 0; code < s.dense.size(); ++code) {
+        if (s.dense[code] != 0) emit(code, s.dense[code]);
+      }
+    } else {
+      std::vector<std::pair<int64_t, int64_t>> items = s.map->Items();
+      std::sort(items.begin(), items.end());
+      for (const auto& [code, count] : items) {
+        emit(static_cast<uint64_t>(code), count);
+      }
+    }
+  }
 }
 
 }  // namespace counting

@@ -30,6 +30,10 @@
 //    thread count — enforced by the differential grid in
 //    pattern_packed_kernels_test.cc.
 //
+// Sibling refinement (RefineSiblings) sizes the gen() children of a
+// cached parent PC set from the parent's groups instead of raw columns:
+// one tile scan encodes the parent once and feeds every sibling.
+//
 // Budgeted scans (budget >= 0) always run serially: the early-exit
 // contract ("stop as soon as the count exceeds the budget") is a
 // sequential property, and splitting it would change how much work an
@@ -131,6 +135,46 @@ int64_t PackedCountGroupsDense(const SubsetColumns& view,
                                const PackedLayout& layout, int64_t budget,
                                std::vector<std::pair<int64_t, int64_t>>* items,
                                const MorselConfig& morsel = {});
+
+/// One gen() child S ∪ {a} (a > max(S)) sized by RefineSiblings.
+struct RefineChild {
+  int attr = 0;                  ///< a; also its position in a delta row
+  const ValueId* col = nullptr;  ///< a's base column (view.rows values)
+  int64_t dom = 0;               ///< effective |Dom(a)|, NULL's slot
+};
+
+/// Outcome of one refined child.
+struct RefinedSizing {
+  /// Distinct restrictions with the early-exit contract: exact when
+  /// <= budget, otherwise budget + 1.
+  int64_t size = 0;
+  /// True when the size is within the budget; `counts` then holds the
+  /// child's full PC set in canonical order.
+  bool complete = false;
+  GroupCounts counts;
+};
+
+/// Sibling refinement (partition refinement over a cached parent PC set):
+/// sizes every child S ∪ {a_i} of `parent` (the PC set of S over the
+/// view's rows) in one shared row scan. Per row tile, the parent's packed
+/// code is encoded once and mapped to its group id g (its position in the
+/// parent's canonical order); every child still within budget then counts
+/// the code (g << bits(a) | slot(a)), NULL taking slot |Dom(a)|. Because
+/// a > max(S), ascending (g, slot) is the child's canonical order, so a
+/// complete child materializes as parent.key(g) ++ value with no sort.
+/// A child drops out at its budget + 1-th distinct code; the scan ends
+/// when none is left. Sinks are a dense count array when the (g, slot)
+/// space passes the dense count gate, a budget-reserved CodeCountMap
+/// otherwise.
+///
+/// Requires: `view` covers exactly S, has width >= 2, and holds no NULL
+/// in any row (base or delta), so every row maps to one parent group;
+/// `layout` is its packed layout (ok); budget >= 0. Element i of *out
+/// answers children[i].
+void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
+                    const GroupCounts& parent,
+                    const std::vector<RefineChild>& children, int64_t budget,
+                    std::vector<RefinedSizing>* out);
 
 }  // namespace counting
 }  // namespace pcbl

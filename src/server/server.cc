@@ -53,13 +53,17 @@ void Server::Stop() {
   }
   stopped_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
+  std::unordered_map<uint64_t, std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
+  for (auto& [id, t] : handlers) {
     if (t.joinable()) t.join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    exited_handlers_.clear();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -82,9 +86,35 @@ void Server::AcceptLoop() {
       }
       connection_fds_.push_back(fd);
     }
+    ReapExitedHandlers();
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers_.emplace_back([this, fd] { ServeConnection(fd); });
+    const uint64_t id = next_handler_id_++;
+    handlers_.emplace(id, std::thread([this, fd, id] {
+                        ServeConnection(fd);
+                        std::lock_guard<std::mutex> done(handlers_mu_);
+                        exited_handlers_.push_back(id);
+                      }));
   }
+}
+
+void Server::ReapExitedHandlers() {
+  std::vector<std::thread> exited;
+  {
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    for (uint64_t id : exited_handlers_) {
+      auto it = handlers_.find(id);
+      exited.push_back(std::move(it->second));
+      handlers_.erase(it);
+    }
+    exited_handlers_.clear();
+  }
+  // Each has filed its id as its last step, so the joins are immediate.
+  for (std::thread& t : exited) t.join();
+}
+
+Server::HandlerThreads Server::handler_threads() const {
+  std::lock_guard<std::mutex> lock(handlers_mu_);
+  return HandlerThreads{handlers_.size(), exited_handlers_.size()};
 }
 
 void Server::ServeConnection(int fd) {

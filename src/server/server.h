@@ -2,11 +2,13 @@
 // end over the api::Session stack.
 //
 // One accept-loop thread hands each connection to its own handler
-// thread; a connection is a strict request/response sequence of wire
-// frames (server/wire.h). Every query names a tenant and a catalog
-// dataset; the server executes it on a pooled api::Session and ships
-// the full QueryResult back — the label as a PortableLabel, so results
-// are byte-comparable with an in-process session over the same data.
+// thread and joins the handlers that exited since its last accept, so
+// connection churn does not pile up dead threads. A connection is a
+// strict request/response sequence of wire frames (server/wire.h).
+// Every query names a tenant and a catalog dataset; the server executes
+// it on a pooled api::Session and ships the full QueryResult back — the
+// label as a PortableLabel, so results are byte-comparable with an
+// in-process session over the same data.
 //
 // Tenancy and overload. Each tenant gets its own session pool (sessions
 // are never shared across tenants) with the per-tenant engine/result
@@ -104,6 +106,16 @@ class Server {
   /// the CLI's final stats log.
   wire::StatsReply BuildStatsReply(const std::string& tenant_filter) const;
 
+  /// Connection handler threads not yet joined, and how many of those
+  /// have already exited. The accept path joins exited handlers before
+  /// it starts the next one, so connection churn leaves at most the
+  /// handlers that exited since the last accept; Stop() joins the rest.
+  struct HandlerThreads {
+    size_t unjoined = 0;
+    size_t exited = 0;
+  };
+  HandlerThreads handler_threads() const;
+
  private:
   struct TenantState {
     int64_t queries = 0;   // executed (ok or query-level error)
@@ -121,6 +133,9 @@ class Server {
 
   void AcceptLoop();
   void ServeConnection(int fd);
+
+  // Joins every handler that filed itself in exited_handlers_.
+  void ReapExitedHandlers();
 
   // Frame dispatch; each returns the complete reply payload.
   std::string HandleFrame(const wire::FrameHeader& header,
@@ -160,8 +175,12 @@ class Server {
   std::vector<int> connection_fds_;
 
   std::thread accept_thread_;
-  std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  // Handler threads by connection id; a handler files its id in
+  // exited_handlers_ as its last step.
+  mutable std::mutex handlers_mu_;
+  std::unordered_map<uint64_t, std::thread> handlers_;
+  std::vector<uint64_t> exited_handlers_;
+  uint64_t next_handler_id_ = 0;
 };
 
 }  // namespace server

@@ -21,7 +21,7 @@ std::string StrFormat(const char* fmt, ...)
 template <typename... Args>
 std::string StrCat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 

@@ -111,17 +111,6 @@ SessionOptions ToSessionOptions(const ApiConfig& config) {
   return options;
 }
 
-SearchOptions ToSearchOptions(const ApiConfig& config, int64_t bound) {
-  SearchOptions options;
-  options.size_bound = bound;
-  options.num_threads = config.num_threads;
-  options.use_counting_engine = config.use_engine;
-  if (config.cache_budget >= 0) {
-    options.counting_cache_budget = config.cache_budget;
-  }
-  return options;
-}
-
 TEST(ApiConformanceTest, SearchMatchesDirectLabelSearch) {
   Table table = workload::MakeCompas(1500, 23).value();
   constexpr int64_t kBound = 60;

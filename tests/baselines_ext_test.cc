@@ -13,6 +13,7 @@
 #include "pattern/full_pattern_index.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -25,7 +26,7 @@ Table ExactPairTable() {
   PCBL_CHECK(b.ok());
   for (int a = 0; a < 3; ++a) {
     for (int v = 0; v < 4; ++v) {
-      b->InternValue(a, "v" + std::to_string(v));
+      b->InternValue(a, StrCat("v", v));
     }
   }
   for (int rep = 0; rep < 2; ++rep) {
@@ -127,7 +128,7 @@ TEST(MutualInformationTest, IndependentAttributesScoreNearZero) {
   auto b = TableBuilder::Create({"a0", "a1"});
   PCBL_CHECK(b.ok());
   for (int a = 0; a < 2; ++a) {
-    for (int v = 0; v < 4; ++v) b->InternValue(a, "v" + std::to_string(v));
+    for (int v = 0; v < 4; ++v) b->InternValue(a, StrCat("v", v));
   }
   // Full cross product, uniform: exactly independent.
   for (int rep = 0; rep < 3; ++rep) {
@@ -221,7 +222,7 @@ TEST(PairwiseHistogramTest, OverlappingModeCanShareAttributes) {
   auto b = TableBuilder::Create({"a0", "a1", "a2"});
   PCBL_CHECK(b.ok());
   for (int a = 0; a < 3; ++a) {
-    for (int v = 0; v < 4; ++v) b->InternValue(a, "v" + std::to_string(v));
+    for (int v = 0; v < 4; ++v) b->InternValue(a, StrCat("v", v));
   }
   Rng rng(7);
   for (int r = 0; r < 400; ++r) {

@@ -12,6 +12,7 @@
 #include "pattern/full_pattern_index.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -20,7 +21,7 @@ namespace {
 // combination appears exactly once (2^n rows).
 Table MakeBinaryCube(int n) {
   std::vector<std::string> names;
-  for (int i = 0; i < n; ++i) names.push_back("A" + std::to_string(i + 1));
+  for (int i = 0; i < n; ++i) names.push_back(StrCat("A", i + 1));
   auto b = TableBuilder::Create(names);
   PCBL_CHECK(b.ok());
   for (int a = 0; a < n; ++a) {

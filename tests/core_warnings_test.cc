@@ -13,6 +13,7 @@
 #include "core/search.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -95,8 +96,8 @@ TEST(AuditLabelTest, CorrelationRequiresJointEvidence) {
   PCBL_CHECK(b.ok());
   Rng rng(5);
   for (int i = 0; i < 400; ++i) {
-    const std::string v = "v" + std::to_string(rng.UniformInt(4));
-    const std::string w = "w" + std::to_string(rng.UniformInt(4));
+    const std::string v = StrCat("v", rng.UniformInt(4));
+    const std::string w = StrCat("w", rng.UniformInt(4));
     PCBL_CHECK(b->AddRow({v, v, w}).ok());
   }
   Table t = b->Build();

@@ -7,6 +7,7 @@
 #include "pattern/packed_codec.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace testing {
@@ -63,7 +64,7 @@ DifferentialWorkload RandomWorkload(uint64_t seed, int attrs,
   Rng rng(seed);
   DifferentialWorkload workload;
   for (int a = 0; a < attrs; ++a) {
-    workload.attribute_names.push_back("a" + std::to_string(a));
+    workload.attribute_names.push_back(StrCat("a", a));
   }
   auto make_rows = [&](int64_t count, int dom) {
     std::vector<std::vector<std::string>> rows;
@@ -73,8 +74,8 @@ DifferentialWorkload RandomWorkload(uint64_t seed, int attrs,
         if (rng.UniformInt(100) < static_cast<uint32_t>(null_percent)) {
           row.push_back("");
         } else {
-          row.push_back("v" + std::to_string(rng.UniformInt(
-                                  static_cast<uint32_t>(dom))));
+          row.push_back(
+              StrCat("v", rng.UniformInt(static_cast<uint32_t>(dom))));
         }
       }
       rows.push_back(std::move(row));

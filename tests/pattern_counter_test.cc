@@ -12,6 +12,7 @@
 #include "pattern/full_pattern_index.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -41,12 +42,12 @@ std::map<std::vector<ValueId>, int64_t> ReferenceGroupBy(const Table& t,
 Table RandomTable(int attrs, int64_t rows, int domain, double null_prob,
                   uint64_t seed) {
   std::vector<std::string> names;
-  for (int a = 0; a < attrs; ++a) names.push_back("a" + std::to_string(a));
+  for (int a = 0; a < attrs; ++a) names.push_back(StrCat("a", a));
   auto b = TableBuilder::Create(names);
   PCBL_CHECK(b.ok());
   for (int a = 0; a < attrs; ++a) {
     for (int v = 0; v < domain; ++v) {
-      b->InternValue(a, "v" + std::to_string(v));
+      b->InternValue(a, StrCat("v", v));
     }
   }
   Rng rng(seed);

@@ -14,6 +14,7 @@
 #include "pattern/lattice.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -25,14 +26,14 @@ Table RandomTable(uint64_t seed, int null_percent) {
   const int attrs = 3 + static_cast<int>(rng.UniformInt(4));
   const int64_t rows = 100 + static_cast<int64_t>(rng.UniformInt(400));
   std::vector<std::string> names;
-  for (int a = 0; a < attrs; ++a) names.push_back("a" + std::to_string(a));
+  for (int a = 0; a < attrs; ++a) names.push_back(StrCat("a", a));
   auto b = TableBuilder::Create(names);
   PCBL_CHECK(b.ok());
   std::vector<ValueId> domains(static_cast<size_t>(attrs));
   for (int a = 0; a < attrs; ++a) {
     domains[static_cast<size_t>(a)] = 2 + rng.UniformInt(5);
     for (ValueId v = 0; v < domains[static_cast<size_t>(a)]; ++v) {
-      b->InternValue(a, "v" + std::to_string(v));
+      b->InternValue(a, StrCat("v", v));
     }
   }
   const uint32_t correlated = rng.UniformInt(70);

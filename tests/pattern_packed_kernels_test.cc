@@ -19,6 +19,7 @@
 #include "pattern/packed_codec.h"
 #include "pattern/packed_kernels.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -46,13 +47,13 @@ Table MakeDomainTable(const std::vector<ValueId>& dom_sizes, int64_t rows,
   Rng rng(seed);
   std::vector<std::string> names;
   for (size_t a = 0; a < dom_sizes.size(); ++a) {
-    names.push_back("a" + std::to_string(a));
+    names.push_back(StrCat("a", a));
   }
   auto b = TableBuilder::Create(names);
   PCBL_CHECK(b.ok());
   for (size_t a = 0; a < dom_sizes.size(); ++a) {
     for (ValueId v = 0; v < dom_sizes[a]; ++v) {
-      b->InternValue(static_cast<int>(a), "v" + std::to_string(v));
+      b->InternValue(static_cast<int>(a), StrCat("v", v));
     }
   }
   std::vector<ValueId> codes(dom_sizes.size());
@@ -367,9 +368,8 @@ TEST(KernelDispatchTest, BoundaryDomainGrid) {
         RawSubset raw = MakeRawSubset(doms, 350, delta_rows, null_percent, rng);
         ASSERT_TRUE(raw.layout.ok);
         CheckIsaAndMorselGrid(
-            raw, "width " + std::to_string(doms.size()) + " nulls " +
-                     std::to_string(null_percent) + " delta " +
-                     std::to_string(delta_rows));
+            raw, StrCat("width ", doms.size(), " nulls ", null_percent,
+                        " delta ", delta_rows));
       }
     }
   }
@@ -384,7 +384,7 @@ TEST(KernelDispatchTest, WidthSweepToPackedLimit) {
     const std::vector<int64_t> doms(static_cast<size_t>(width), 2);
     RawSubset raw = MakeRawSubset(doms, 400, 33, 15, rng);
     ASSERT_TRUE(raw.layout.ok) << width;
-    CheckIsaAndMorselGrid(raw, "sweep width " + std::to_string(width));
+    CheckIsaAndMorselGrid(raw, StrCat("sweep width ", width));
   }
 }
 
@@ -405,8 +405,8 @@ TEST(KernelDispatchTest, LargeSpaceDenseFillFallback) {
       ASSERT_TRUE(raw.layout.ok);
       ASSERT_GT(raw.layout.total_bits, 15);
       CheckIsaAndMorselGrid(
-          raw, "large-space width " + std::to_string(doms.size()) +
-                   " delta " + std::to_string(delta_rows));
+          raw, StrCat("large-space width ", doms.size(), " delta ",
+                        delta_rows));
     }
   }
 }

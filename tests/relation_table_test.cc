@@ -5,6 +5,7 @@
 
 #include "relation/dictionary.h"
 #include "relation/schema.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -34,7 +35,7 @@ TEST(DictionaryTest, IndexGrowsAndCopiesKeepEveryId) {
   // string, an embedded NUL and values sharing long prefixes.
   std::vector<std::string> values = {"", std::string("a\0b", 3), "a"};
   for (int i = 0; i < 5000; ++i) {
-    values.push_back("shared-prefix-longer-than-a-word-" + std::to_string(i));
+    values.push_back(StrCat("shared-prefix-longer-than-a-word-", i));
   }
   Dictionary d;
   for (size_t i = 0; i < values.size(); ++i) {
@@ -70,7 +71,7 @@ TEST(SchemaTest, RejectsDuplicates) {
 
 TEST(SchemaTest, RejectsTooManyAttributes) {
   std::vector<std::string> names;
-  for (int i = 0; i < 65; ++i) names.push_back("a" + std::to_string(i));
+  for (int i = 0; i < 65; ++i) names.push_back(StrCat("a", i));
   EXPECT_FALSE(Schema::Create(names).ok());
 }
 

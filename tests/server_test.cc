@@ -12,11 +12,14 @@
 //    with kResourceExhausted and a retry-after hint in bounded time,
 //    and the retry after drain succeeds;
 //  * admission-level errors (unknown dataset, register conflicts) and
-//    the corrupt/oversized-frame rejection path end-to-end.
+//    the corrupt/oversized-frame rejection path end-to-end;
+//  * bounded handler threads — 2,000 connections opened and closed in
+//    turn leave one exited, unjoined handler, not 2,000.
 #include "server/server.h"
 
 #include <sys/socket.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -396,6 +399,33 @@ TEST(ServerTest, RestartWithSpillDirAnswersFirstQueryWithoutFullScans) {
   // Restore the process-wide registry for the other tests.
   ServiceRegistry::Global().SetSpillDirectory("");
   ServiceRegistry::Global().Clear();
+}
+
+TEST(ServerTest, ConnectionChurnJoinsExitedHandlers) {
+  Catalog catalog(PrivateOptions());
+  Server server(&catalog, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (int i = 0; i < 2000; ++i) {
+    {
+      Client client = MustConnect(server.bound_address());
+      ASSERT_TRUE(client.Hello("churn").ok());
+    }  // closing the socket ends the handler
+    // Wait until this connection's handler has exited: the accept of
+    // connection i joined handler i - 1, so exactly one exited,
+    // unjoined handler is left — never one per past connection.
+    Server::HandlerThreads threads = server.handler_threads();
+    while (threads.exited < threads.unjoined) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::yield();
+      threads = server.handler_threads();
+    }
+    ASSERT_EQ(threads.unjoined, 1u) << "connection " << i;
+  }
+  server.Stop();
+  EXPECT_EQ(server.handler_threads().unjoined, 0u);
+  EXPECT_EQ(server.handler_threads().exited, 0u);
 }
 
 TEST(ServerTest, ShutdownRequestUnblocksWait) {

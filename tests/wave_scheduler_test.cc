@@ -34,6 +34,7 @@
 #include "pattern/service_registry.h"
 #include "tests/differential_harness.h"
 #include "workload/datasets.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -97,7 +98,7 @@ TEST(WaveSchedulerTest, SchedulerGridMatchesSoloReferenceAcrossSessions) {
   ASSERT_GT(cold_full_scans, 0);
 
   for (const int num_sessions : {1, 2, 4, 8}) {
-    const std::string arm = "x" + std::to_string(num_sessions);
+    const std::string arm = StrCat("x", num_sessions);
     Dataset dataset = PrivateDataset(table);  // one service per arm
     SessionOptions options;
     options.num_threads = 1;
@@ -112,7 +113,7 @@ TEST(WaveSchedulerTest, SchedulerGridMatchesSoloReferenceAcrossSessions) {
     for (int i = 0; i < num_sessions; ++i) {
       const QueryResult& r = futures[static_cast<size_t>(i)].Get();
       ASSERT_TRUE(r.status.ok()) << arm << ": " << r.status;
-      ExpectSameSearchResult(r.search, want, arm + "/s" + std::to_string(i));
+      ExpectSameSearchResult(r.search, want, StrCat(arm, "/s", i));
     }
     // Merged waves + the warm cache: never more work than one cold solo
     // search (out-of-phase queries may even roll up and do less).
@@ -150,10 +151,8 @@ TEST(WaveSchedulerTest, MixedBoundsStayByteIdenticalUnderMerging) {
     for (size_t i = 0; i < bounds.size(); ++i) {
       const QueryResult& r = futures[i].Get();
       ASSERT_TRUE(r.status.ok()) << r.status;
-      ExpectSameSearchResult(
-          r.search, want[i],
-          "bound " + std::to_string(bounds[i]) + " round " +
-              std::to_string(round));
+      ExpectSameSearchResult(r.search, want[i],
+                             StrCat("bound ", bounds[i], " round ", round));
     }
   }
 }
@@ -196,8 +195,7 @@ TEST(WaveSchedulerTest, ConcurrentSearchesAfterAppendMatchRebuild) {
     const QueryResult& r = futures[static_cast<size_t>(i)].Get();
     ASSERT_TRUE(r.status.ok()) << r.status;
     EXPECT_EQ(r.total_rows, harness.reference().num_rows());
-    ExpectSameSearchResult(r.search, want,
-                           "sibling " + std::to_string(i));
+    ExpectSameSearchResult(r.search, want, StrCat("sibling ", i));
   }
   const QueryResult& r = own->Get();
   ASSERT_TRUE(r.status.ok()) << r.status;
