@@ -119,12 +119,13 @@ CountingEngine::Plan CountingEngine::MakePlan(AttrMask mask,
     return plan;
   }
   // Sibling refinement: a budgeted gen() child S ∪ {a}, a = max, is sized
-  // from the cached PC set of S when every row maps to exactly one of its
+  // from the cached PC set of S when S is within the budget (as every
+  // parent Algorithm 1 expands is), every row maps to exactly one of its
   // groups (NULL-free attributes) and S packs into one code.
   if (budget < 0 || mask.Count() < 3) return plan;
   const AttrMask parent = mask.Without(mask.MaxIndex());
   auto par = cache_.find(parent.bits());
-  if (par == cache_.end()) return plan;
+  if (par == cache_.end() || par->second->num_groups() > budget) return plan;
   int64_t doms[kMaxAttributes];
   int width = 0;
   for (uint64_t b = parent.bits(); b != 0; b &= b - 1) {
@@ -456,10 +457,18 @@ std::vector<CountingEngine::Sizing> CountingEngine::SiblingSizings(
     children[i] = counting::RefineChild{a, BaseColumn(a), DomSizeOf(a)};
   }
   std::vector<counting::RefinedSizing> refined;
-  counting::RefineSiblings(ScanView(attrs), layout, parent, children, budget,
-                           &refined);
-  // A refined sizing is a direct scan, and a full scan when it completes.
   std::vector<Sizing> out(masks.size());
+  if (!counting::RefineSiblings(ScanView(attrs), layout, parent, children,
+                                budget, &refined)) {
+    // The cached parent does not describe the rows (a corrupt restored
+    // entry): scan every child directly.
+    for (size_t i = 0; i < masks.size(); ++i) {
+      out[i] = DirectSizing(masks[i], budget, /*materialize=*/true,
+                            /*morsel_threads=*/1);
+    }
+    return out;
+  }
+  // A refined sizing is a direct scan, and a full scan when it completes.
   for (size_t i = 0; i < masks.size(); ++i) {
     out[i].size = refined[i].size;
     if (!refined[i].complete) continue;

@@ -346,8 +346,8 @@ class CountingEngine {
     std::shared_ptr<const GroupCounts> hit;       // exact cache entry
     std::shared_ptr<const GroupCounts> ancestor;  // strict-superset entry
     // PC set of mask \ {max}: set only for budgeted masks of width >= 3
-    // with no hit and no ancestor, when the parent is cached, NULL-free
-    // and packable (the sibling-refinement input).
+    // with no hit and no ancestor, when the parent is cached, within the
+    // budget, NULL-free and packable (the sibling-refinement input).
     std::shared_ptr<const GroupCounts> parent;
   };
 

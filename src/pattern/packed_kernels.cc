@@ -95,76 +95,15 @@ inline uint64_t EncodeDeltaRow(const SubsetColumns& view,
   return bound >= 2 ? code : sentinel;
 }
 
-// Streams every arity>=2 restriction code of the view through `emit`
-// (bool emit(uint64_t): return false to abort the scan). Arity-2/3
-// tiles encode through the dispatched SIMD kernels with dropped rows
-// routed to the sentinel (skipped here, so emission order and the
-// budget early-exit contract are unchanged — an abort merely wastes the
-// rest of one already-encoded tile); wider subsets go through the tiled
-// per-column gather.
-template <typename Emit>
-void ForEachPackedCode(const SubsetColumns& view, const PackedLayout& layout,
-                       Emit&& emit) {
-  const int width = view.width;
-  PCBL_DCHECK(width >= 2 && layout.ok);
-  const SizingKernels& k = ActiveKernels();
-  const uint64_t sentinel = SentinelCode(layout);
-  if (width == 2 || width == 3) {
-    uint64_t codes[kTileRows];
-    for (int64_t base = 0; base < view.rows; base += kTileRows) {
-      const int64_t n = std::min(kTileRows, view.rows - base);
-      if (width == 2) {
-        EncodeBaseTileA2(view, layout, k, sentinel, base, n, codes);
-      } else {
-        EncodeBaseTileA3(view, layout, k, sentinel, base, n, codes);
-      }
-      for (int64_t r = 0; r < n; ++r) {
-        const uint64_t code = codes[r];
-        if (code == sentinel) continue;
-        if (!emit(code)) return;
-      }
-    }
-    for (int64_t r = 0; r < view.delta_rows; ++r) {
-      const uint64_t code = EncodeDeltaRow(view, layout, sentinel, r);
-      if (code == sentinel) continue;
-      if (!emit(code)) return;
-    }
-    return;
-  }
-  // Generic width: gather in row tiles. Each attribute's column slice is
-  // streamed once per tile through the dispatched gather kernel (a tight
-  // shift/OR loop with no cross-row dependencies); the tile's codes and
-  // arities stay in L1.
-  uint64_t codes[kTileRows];
-  uint8_t arity[kTileRows];
-  for (int64_t base = 0; base < view.rows; base += kTileRows) {
-    const int64_t n = std::min(kTileRows, view.rows - base);
-    std::memset(codes, 0, static_cast<size_t>(n) * sizeof(codes[0]));
-    std::memset(arity, 0, static_cast<size_t>(n) * sizeof(arity[0]));
-    for (int j = 0; j < width; ++j) {
-      k.gather_accum(view.cols[j] + base, layout.shift[j],
-                     layout.null_slot[j], n, codes, arity);
-    }
-    for (int64_t r = 0; r < n; ++r) {
-      if (arity[r] < 2) continue;
-      if (!emit(codes[r])) return;
-    }
-  }
-  for (int64_t r = 0; r < view.delta_rows; ++r) {
-    const uint64_t code = EncodeDeltaRow(view, layout, sentinel, r);
-    if (code == sentinel) continue;
-    if (!emit(code)) return;
-  }
-}
-
-// Encodes base rows [base, base + n) of a NULL-free view: every row has
-// full arity, so no row routes to the sentinel. `arity` is scratch for
-// the generic-width gather.
-inline void EncodeNullFreeTile(const SubsetColumns& view,
-                               const PackedLayout& layout,
-                               const SizingKernels& k, int64_t base,
-                               int64_t n, uint64_t* codes, uint8_t* arity) {
-  const uint64_t sentinel = SentinelCode(layout);
+// Encodes base rows [base, base + n) of the view into `codes`, dropped
+// rows (NULL / arity < 2) as the sentinel. Arity-2/3 tiles go through
+// the dispatched SIMD kernels; wider subsets through the per-column
+// gather (a tight shift/OR loop with no cross-row dependencies), for
+// which `arity` is scratch. Codes and arities stay in L1.
+inline void EncodeBaseTile(const SubsetColumns& view,
+                           const PackedLayout& layout, const SizingKernels& k,
+                           uint64_t sentinel, int64_t base, int64_t n,
+                           uint64_t* codes, uint8_t* arity) {
   if (view.width == 2) {
     EncodeBaseTileA2(view, layout, k, sentinel, base, n, codes);
     return;
@@ -179,71 +118,100 @@ inline void EncodeNullFreeTile(const SubsetColumns& view,
     k.gather_accum(view.cols[j] + base, layout.shift[j],
                    layout.null_slot[j], n, codes, arity);
   }
+  for (int64_t r = 0; r < n; ++r) {
+    codes[r] = arity[r] >= 2 ? codes[r] : sentinel;
+  }
+}
+
+// Streams every arity>=2 restriction code of the view through `emit`
+// (bool emit(uint64_t): return false to abort the scan), base rows tile
+// by tile, then delta rows. Dropped rows are skipped, so emission order
+// and the budget early-exit contract are those of a row-at-a-time scan
+// (an abort merely wastes the rest of one already-encoded tile).
+template <typename Emit>
+void ForEachPackedCode(const SubsetColumns& view, const PackedLayout& layout,
+                       Emit&& emit) {
+  PCBL_DCHECK(view.width >= 2 && layout.ok);
+  const SizingKernels& k = ActiveKernels();
+  const uint64_t sentinel = SentinelCode(layout);
+  uint64_t codes[kTileRows];
+  uint8_t arity[kTileRows];
+  for (int64_t base = 0; base < view.rows; base += kTileRows) {
+    const int64_t n = std::min(kTileRows, view.rows - base);
+    EncodeBaseTile(view, layout, k, sentinel, base, n, codes, arity);
+    for (int64_t r = 0; r < n; ++r) {
+      const uint64_t code = codes[r];
+      if (code == sentinel) continue;
+      if (!emit(code)) return;
+    }
+  }
+  for (int64_t r = 0; r < view.delta_rows; ++r) {
+    const uint64_t code = EncodeDeltaRow(view, layout, sentinel, r);
+    if (code == sentinel) continue;
+    if (!emit(code)) return;
+  }
 }
 
 // Parent packed code -> group id (the group's position in the parent's
-// canonical order). A direct-addressed table when the parent's code space
-// is no larger than the scan (its fill is then amortized), otherwise open
-// addressing sized to the parent's groups — L1-resident for within-bound
-// parents either way.
+// canonical order): open addressing sized to the parent's groups, so it
+// stays L1-resident for within-bound parents. The parent is checked, not
+// trusted — a cached PC set may have been restored from a spill file.
+// Building the index requires every key cell to be a non-NULL code
+// inside its field and the codes to ascend strictly (canonical order,
+// hence distinct), and a lookup reports a code with no group instead of
+// assuming one. A parent that does not describe the scanned rows thus
+// costs its children a fallback scan, never a wrong index.
 class GroupIndex {
  public:
   GroupIndex(const GroupCounts& parent, const PackedLayout& layout,
              int64_t rows) {
-    const size_t groups = static_cast<size_t>(parent.num_groups());
-    const bool direct =
-        layout.total_bits <= kDenseCountBitsLimit &&
-        (int64_t{1} << layout.total_bits) <= std::max<int64_t>(rows, 1024);
-    if (direct) {
-      table_.assign(size_t{1} << layout.total_bits, kNoGroup);
-    } else {
-      int log_cap = 4;
-      while ((size_t{1} << log_cap) < groups * 2) ++log_cap;
-      shift_ = 64 - log_cap;
-      mask_ = (size_t{1} << log_cap) - 1;
-      slots_.assign(mask_ + 1, Slot{kEmpty, 0});
-    }
-    for (size_t g = 0; g < groups; ++g) {
-      const ValueId* key = parent.key(static_cast<int64_t>(g));
+    const int64_t groups = parent.num_groups();
+    if (groups > rows) return;  // every group counts at least one row
+    // Load <= 1/8: almost every key sits in its home slot, so the probe
+    // loop's branch predicts (at load 1/2 the collisions cost the
+    // CreditCard build about twice the cycles per mapped row).
+    int log_cap = 4;
+    while ((int64_t{1} << log_cap) < groups * 8) ++log_cap;
+    shift_ = 64 - log_cap;
+    mask_ = (size_t{1} << log_cap) - 1;
+    slots_.assign(mask_ + 1, Slot{kEmpty, 0});
+    uint64_t prev = 0;
+    for (int64_t g = 0; g < groups; ++g) {
+      const ValueId* key = parent.key(g);
       uint64_t code = 0;
       for (int j = 0; j < layout.width; ++j) {
+        if (static_cast<uint64_t>(key[j]) >= layout.null_slot[j]) return;
         code |= static_cast<uint64_t>(key[j]) << layout.shift[j];
       }
-      if (direct) {
-        table_[code] = static_cast<uint32_t>(g);
-        continue;
-      }
+      if (g > 0 && code <= prev) return;
+      prev = code;
       size_t i = Slot0(code);
       while (slots_[i].code != kEmpty) i = (i + 1) & mask_;
       slots_[i] = Slot{code, static_cast<uint32_t>(g)};
     }
+    ok_ = true;
   }
 
-  // Maps n parent codes to their group ids. Every row of a NULL-free
-  // parent has a group; a miss means the parent does not describe the
-  // scanned rows.
-  void Map(const uint64_t* codes, int64_t n, uint32_t* gids) const {
-    if (!table_.empty()) {
-      const uint32_t* table = table_.data();
-      for (int64_t r = 0; r < n; ++r) {
-        const uint32_t g = table[codes[r]];
-        PCBL_CHECK(g != kNoGroup);
-        gids[r] = g;
-      }
-      return;
-    }
+  // Whether the parent passed the checks above.
+  bool ok() const { return ok_; }
+
+  // Maps n parent codes to their group ids; false when some code has no
+  // group (the parent does not describe the scanned rows).
+  bool Map(const uint64_t* codes, int64_t n, uint32_t* gids) const {
+    const Slot* slots = slots_.data();
     for (int64_t r = 0; r < n; ++r) {
-      size_t i = Slot0(codes[r]);
-      while (slots_[i].code != codes[r]) {
-        PCBL_CHECK(slots_[i].code != kEmpty);
+      const uint64_t code = codes[r];
+      size_t i = Slot0(code);
+      while (slots[i].code != code) {
+        if (slots[i].code == kEmpty) return false;
         i = (i + 1) & mask_;
       }
-      gids[r] = slots_[i].gid;
+      gids[r] = slots[i].gid;
     }
+    return true;
   }
 
  private:
-  static constexpr uint32_t kNoGroup = ~uint32_t{0};
   static constexpr uint64_t kEmpty = ~uint64_t{0};  // codes are < 2^63
 
   struct Slot {
@@ -256,10 +224,10 @@ class GroupIndex {
     return static_cast<size_t>((code * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
-  std::vector<uint32_t> table_;  // direct-addressed, or empty
-  std::vector<Slot> slots_;      // open addressing otherwise
+  std::vector<Slot> slots_;
   size_t mask_ = 0;
   int shift_ = 0;
+  bool ok_ = false;
 };
 
 // One sibling's distinct-code sink: a dense count array over the
@@ -642,7 +610,7 @@ std::vector<std::pair<int64_t, int64_t>> PackedCountGroups(
   return counts.Items();
 }
 
-void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
+bool RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
                     const GroupCounts& parent,
                     const std::vector<RefineChild>& children, int64_t budget,
                     std::vector<RefinedSizing>* out) {
@@ -651,6 +619,7 @@ void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
   const int64_t groups = parent.num_groups();
   const int64_t total_rows = view.rows + view.delta_rows;
   const GroupIndex index(parent, layout, total_rows);
+  if (!index.ok()) return false;
   std::vector<SiblingSink> sinks(children.size());
   for (size_t c = 0; c < children.size(); ++c) {
     SiblingSink& s = sinks[c];
@@ -669,14 +638,15 @@ void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
   // One tile at a time: encode the parent once, map each row to its
   // group, then let every live sibling count the tile.
   const SizingKernels& k = ActiveKernels();
+  const uint64_t sentinel = SentinelCode(layout);
   size_t live = children.size();
   uint64_t codes[kTileRows];
   uint32_t gids[kTileRows];
   uint8_t arity[kTileRows];
   for (int64_t base = 0; base < view.rows && live > 0; base += kTileRows) {
     const int64_t n = std::min(kTileRows, view.rows - base);
-    EncodeNullFreeTile(view, layout, k, base, n, codes, arity);
-    index.Map(codes, n, gids);
+    EncodeBaseTile(view, layout, k, sentinel, base, n, codes, arity);
+    if (!index.Map(codes, n, gids)) return false;
     for (size_t c = 0; c < children.size(); ++c) {
       SiblingSink& s = sinks[c];
       if (!s.live) continue;
@@ -686,14 +656,13 @@ void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
       live -= static_cast<size_t>(!s.live);
     }
   }
-  const uint64_t sentinel = SentinelCode(layout);
   for (int64_t base = 0; base < view.delta_rows && live > 0;
        base += kTileRows) {
     const int64_t n = std::min(kTileRows, view.delta_rows - base);
     for (int64_t r = 0; r < n; ++r) {
       codes[r] = EncodeDeltaRow(view, layout, sentinel, base + r);
     }
-    index.Map(codes, n, gids);
+    if (!index.Map(codes, n, gids)) return false;
     const ValueId* rows = view.delta + base * view.delta_stride;
     for (size_t c = 0; c < children.size(); ++c) {
       SiblingSink& s = sinks[c];
@@ -746,6 +715,7 @@ void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
       }
     }
   }
+  return true;
 }
 
 }  // namespace counting

@@ -168,10 +168,14 @@ struct RefinedSizing {
 /// otherwise.
 ///
 /// Requires: `view` covers exactly S, has width >= 2, and holds no NULL
-/// in any row (base or delta), so every row maps to one parent group;
-/// `layout` is its packed layout (ok); budget >= 0. Element i of *out
-/// answers children[i].
-void RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
+/// in any row (base or delta); `layout` is its packed layout (ok);
+/// budget >= 0. The parent itself is checked, not trusted (it may have
+/// been restored from a spill file): a key cell that is NULL or outside
+/// its field, keys out of canonical order, or a scanned row whose code
+/// matches no group make the call return false with *out unspecified,
+/// and the caller sizes the children another way. Otherwise returns true
+/// and element i of *out answers children[i].
+bool RefineSiblings(const SubsetColumns& view, const PackedLayout& layout,
                     const GroupCounts& parent,
                     const std::vector<RefineChild>& children, int64_t budget,
                     std::vector<RefinedSizing>* out);

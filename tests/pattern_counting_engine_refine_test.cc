@@ -12,7 +12,8 @@
 // appended rows), which must take the direct scan — refining them would
 // miss rows whose parent restriction has arity < 2; parents evicted or
 // never cached under tiny cache budgets; appended rows, both in the
-// delta block and compacted; exact budgets, which never refine.
+// delta block and compacted; exact budgets, and parents over the budget
+// (most parents at budgets 0-2), which never refine.
 #include <bit>
 #include <cstdint>
 #include <memory>

@@ -18,11 +18,13 @@
 //    from an unvalidated length. CI runs this suite under ASan+UBSan.
 #include "persist/spill_store.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/search.h"
 #include "pattern/counter.h"
 #include "pattern/counting_service.h"
 #include "pattern/lattice.h"
@@ -459,6 +462,90 @@ TEST(SpillHostileTest, SemanticallyImpossibleValuesReject) {
     EXPECT_FALSE(SpillStore::DecodeWarmState(bytes, kGoldenFp, other, false)
                      .has_value());
   }
+}
+
+TEST(SpillHostileTest, InconsistentCachedParentsNeverMislead) {
+  // Entries the decoder cannot tell from genuine ones — a NULL key cell
+  // in a NULL-free subset, a missing group, groups out of canonical
+  // order, a duplicated key — pass the codec checks above, so the engine
+  // must not trust them where it indexes by them: a budgeted child of
+  // such a cached pair is sized by sibling refinement from the pair's
+  // groups, which has to detect the mismatch and scan directly. With
+  // three values per attribute every triple completes within budget 60,
+  // so the scan reaches the rows of the missing group. Every child size
+  // must equal the one-shot counter, and a search over the restored
+  // service must run (under ASan: without a stray write).
+  const testing::DifferentialWorkload workload = testing::RandomWorkload(
+      /*seed=*/41, /*attrs=*/5, /*base_rows=*/400, /*append_rows=*/0,
+      /*domain=*/3, /*append_domain=*/3, /*null_percent=*/0);
+  const testing::DifferentialHarness harness(workload);
+  auto table = std::make_shared<const Table>(harness.base());
+  auto exporter = std::make_shared<CountingService>(table);
+  {
+    std::lock_guard<std::mutex> lock(exporter->mutex());
+    ForEachSubsetOfSize(table->num_attributes(), 2, [&](AttrMask mask) {
+      exporter->engine().PatternCounts(mask);
+    });
+  }
+  ServiceWarmState state = exporter->ExportWarmState();
+  int corrupted = 0;
+  for (CountingEngine::CacheSnapshotEntry& entry : state.entries) {
+    auto counts = std::make_shared<GroupCounts>(*entry.counts);
+    std::vector<ValueId>& keys = GroupCountsAccess::keys(*counts);
+    std::vector<int64_t>& group_counts = GroupCountsAccess::counts(*counts);
+    ASSERT_GE(group_counts.size(), 3u);
+    const size_t width = counts->attrs().size();
+    if (entry.mask_bits == AttrMask::FromIndices({0, 1}).bits()) {
+      keys[width] = kNullValue;  // second group's first cell
+    } else if (entry.mask_bits == AttrMask::FromIndices({0, 2}).bits()) {
+      keys.resize(keys.size() - width);
+      group_counts.pop_back();
+    } else if (entry.mask_bits == AttrMask::FromIndices({1, 2}).bits()) {
+      std::swap_ranges(keys.begin(), keys.begin() + width,
+                       keys.begin() + width);
+    } else if (entry.mask_bits == AttrMask::FromIndices({2, 3}).bits()) {
+      std::copy(keys.begin(), keys.begin() + width, keys.begin() + width);
+    } else {
+      continue;
+    }
+    entry.counts = std::move(counts);
+    ++corrupted;
+  }
+  ASSERT_EQ(corrupted, 4);
+
+  const TableFingerprint fp = FingerprintTable(*table);
+  const std::optional<ServiceWarmState> decoded = SpillStore::DecodeWarmState(
+      SpillStore::EncodeWarmState(fp, *table, state), fp, *table,
+      /*base_only=*/true);
+  ASSERT_TRUE(decoded.has_value());
+  auto restored = std::make_shared<CountingService>(table);
+  restored->RestoreWarmState(*decoded);
+  {
+    std::lock_guard<std::mutex> lock(restored->mutex());
+    CountingEngine& engine = restored->engine();
+    std::vector<AttrMask> triples;
+    ForEachSubsetOfSize(table->num_attributes(), 3,
+                        [&](AttrMask mask) { triples.push_back(mask); });
+    for (const int64_t budget : {int64_t{2}, int64_t{60}}) {
+      std::vector<std::shared_ptr<const GroupCounts>> counts;
+      const std::vector<int64_t> sizes =
+          engine.CountPatternsBatchCollect(triples, budget, &counts);
+      for (size_t i = 0; i < triples.size(); ++i) {
+        const std::string ctx =
+            triples[i].ToString() + " budget " + std::to_string(budget);
+        EXPECT_EQ(sizes[i], CountDistinctPatterns(*table, triples[i], budget))
+            << ctx;
+        if (counts[i] != nullptr) {
+          testing::ExpectSameGroupCounts(
+              *counts[i], ComputePatternCounts(*table, triples[i]), ctx);
+        }
+      }
+    }
+  }
+  SearchOptions options;
+  options.size_bound = 60;
+  LabelSearch search(*table, restored);
+  EXPECT_GT(search.TopDown(options).best_attrs.Count(), 0);
 }
 
 TEST(SpillHostileTest, BaseOnlyRefusesDivergedRecords) {
