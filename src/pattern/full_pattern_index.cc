@@ -2,162 +2,180 @@
 
 #include <algorithm>
 
+#include "pattern/counter.h"
+#include "pattern/packed_codec.h"
 #include "util/logging.h"
 
 namespace pcbl {
 
-FullPatternIndex FullPatternIndex::Build(const Table& table) {
-  FullPatternIndex idx;
-  idx.width_ = table.num_attributes();
-  size_t width = static_cast<size_t>(idx.width_);
+namespace {
 
-  // Materialize row-major keys of NULL-free rows.
-  std::vector<ValueId> rows;
-  rows.reserve(static_cast<size_t>(table.num_rows()) * width);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    bool ok = true;
-    for (size_t a = 0; a < width; ++a) {
-      if (IsNull(table.value(r, static_cast<int>(a)))) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) {
-      ++idx.rows_skipped_;
-      continue;
-    }
-    for (size_t a = 0; a < width; ++a) {
-      rows.push_back(table.value(r, static_cast<int>(a)));
-    }
-    ++idx.rows_indexed_;
-  }
+// One P_A group while the index is assembled. `key` is whatever the
+// caller can turn back into codes: a GroupCounts group index, a packed
+// code, or an index into a key-pointer array.
+struct Group {
+  uint64_t key;
+  int64_t count;
+};
 
-  size_t n = width == 0 ? 0 : rows.size() / width;
-  std::vector<int64_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int64_t>(i);
-  const ValueId* data = rows.data();
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const ValueId* ka = data + static_cast<size_t>(a) * width;
-    const ValueId* kb = data + static_cast<size_t>(b) * width;
-    return std::lexicographical_compare(ka, ka + width, kb, kb + width);
-  });
-
-  // Count runs into (start offset, count) pairs.
-  struct Group {
-    int64_t row;  // index into `order`
-    int64_t count;
-  };
-  std::vector<Group> groups;
-  size_t i = 0;
-  while (i < n) {
-    const ValueId* ki = data + static_cast<size_t>(order[i]) * width;
-    size_t j = i + 1;
-    while (j < n) {
-      const ValueId* kj = data + static_cast<size_t>(order[j]) * width;
-      if (!std::equal(ki, ki + width, kj)) break;
-      ++j;
-    }
-    groups.push_back(Group{order[i], static_cast<int64_t>(j - i)});
-    i = j;
-  }
-
-  // Order by count descending; break ties by key for determinism.
+// Writes `groups`, given in ascending key order, into P_A's canonical
+// order: count descending, ties keeping the key order (the sort is
+// stable). `write_key(key, out)` writes one key's `width` codes.
+template <typename WriteKey>
+void EmitCanonical(std::vector<Group> groups, size_t width,
+                   const WriteKey& write_key, std::vector<ValueId>* codes,
+                   std::vector<int64_t>* counts) {
   std::stable_sort(groups.begin(), groups.end(),
                    [](const Group& a, const Group& b) {
                      return a.count > b.count;
                    });
-
-  idx.codes_.reserve(groups.size() * width);
-  idx.counts_.reserve(groups.size());
-  for (const Group& g : groups) {
-    const ValueId* k = data + static_cast<size_t>(g.row) * width;
-    idx.codes_.insert(idx.codes_.end(), k, k + width);
-    idx.counts_.push_back(g.count);
+  codes->resize(groups.size() * width);
+  counts->resize(groups.size());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    write_key(groups[i].key, codes->data() + i * width);
+    (*counts)[i] = groups[i].count;
   }
-  return idx;
 }
 
-void FullPatternIndex::ApplyAppend(
-    const std::vector<std::vector<ValueId>>& rows) {
-  const size_t width = static_cast<size_t>(width_);
-  std::vector<ValueId> flat;
-  flat.reserve(rows.size() * width);
-  for (const auto& row : rows) {
-    PCBL_CHECK(row.size() == width);
-    flat.insert(flat.end(), row.begin(), row.end());
+// Sorts `groups` by key (`less`), sums the counts of equal keys and
+// writes the result as EmitCanonical does.
+template <typename Less, typename WriteKey>
+void MergeAndEmit(std::vector<Group> groups, size_t width, const Less& less,
+                  const WriteKey& write_key, std::vector<ValueId>* codes,
+                  std::vector<int64_t>* counts) {
+  std::sort(groups.begin(), groups.end(), less);
+  size_t kept = 0;
+  for (const Group& g : groups) {
+    if (kept > 0 && !less(groups[kept - 1], g)) {
+      groups[kept - 1].count += g.count;
+    } else {
+      groups[kept++] = g;
+    }
   }
-  ApplyAppend(flat.data(), static_cast<int64_t>(rows.size()));
+  groups.resize(kept);
+  EmitCanonical(std::move(groups), width, write_key, codes, counts);
+}
+
+bool HasNull(const ValueId* key, size_t width) {
+  return std::any_of(key, key + width, IsNull);
+}
+
+}  // namespace
+
+FullPatternIndex FullPatternIndex::Build(const Table& table) {
+  FullPatternIndex idx;
+  idx.width_ = table.num_attributes();
+  const size_t width = static_cast<size_t>(idx.width_);
+  if (width == 0) {
+    // Every row is complete over the empty schema; no pattern binds it.
+    idx.rows_indexed_ = table.num_rows();
+    return idx;
+  }
+
+  // The full-width PC set: restrictions of NULL-free rows bind every
+  // attribute, so its NULL-free keys are exactly the full patterns.
+  // ComputePatternCounts stores nothing below arity 2; a one-attribute
+  // P_A is the column's value counts.
+  const AttrMask all = AttrMask::All(idx.width_);
+  const GroupCounts pc = width == 1 ? ComputeGroupCounts(table, all)
+                                    : ComputePatternCounts(table, all);
+  std::vector<Group> groups;
+  groups.reserve(static_cast<size_t>(pc.num_groups()));
+  for (int64_t g = 0; g < pc.num_groups(); ++g) {
+    if (HasNull(pc.key(g), width)) continue;
+    groups.push_back(Group{static_cast<uint64_t>(g), pc.count(g)});
+    idx.rows_indexed_ += pc.count(g);
+  }
+  idx.rows_skipped_ = table.num_rows() - idx.rows_indexed_;
+  EmitCanonical(
+      std::move(groups), width,
+      [&](uint64_t g, ValueId* out) {
+        std::copy_n(pc.key(static_cast<int64_t>(g)), width, out);
+      },
+      &idx.codes_, &idx.counts_);
+  return idx;
 }
 
 void FullPatternIndex::ApplyAppend(const ValueId* rows, int64_t num_rows) {
   const size_t width = static_cast<size_t>(width_);
-  // NULL-free appended rows, flat row-major (NULL rows are skipped like
-  // in Build).
-  std::vector<ValueId> fresh;
+  // NULL-free appended rows (NULL rows are skipped like in Build).
+  std::vector<const ValueId*> fresh;
   for (int64_t r = 0; r < num_rows; ++r) {
     const ValueId* row = rows + static_cast<size_t>(r) * width;
-    bool ok = true;
-    for (size_t a = 0; a < width; ++a) {
-      if (IsNull(row[a])) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) {
+    if (HasNull(row, width)) {
       ++rows_skipped_;
-      continue;
+    } else {
+      fresh.push_back(row);
     }
-    fresh.insert(fresh.end(), row, row + width);
-    ++rows_indexed_;
   }
+  rows_indexed_ += static_cast<int64_t>(fresh.size());
   if (width == 0 || fresh.empty()) return;
 
-  // Merge the existing groups with the fresh rows: lex-sort all (key,
-  // count) pairs, sum equal keys, then restore Build's canonical order —
-  // a stable count-descending sort over the lex order.
-  struct Entry {
-    const ValueId* key;
-    int64_t count;
-  };
-  const size_t fresh_rows = fresh.size() / width;
-  std::vector<Entry> entries;
-  entries.reserve(counts_.size() + fresh_rows);
-  for (int64_t g = 0; g < num_patterns(); ++g) {
-    entries.push_back(Entry{codes(g), counts_[static_cast<size_t>(g)]});
-  }
-  for (size_t r = 0; r < fresh_rows; ++r) {
-    entries.push_back(Entry{fresh.data() + r * width, 1});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [width](const Entry& a, const Entry& b) {
-              return std::lexicographical_compare(a.key, a.key + width,
-                                                  b.key, b.key + width);
-            });
-  std::vector<Entry> merged;
-  merged.reserve(entries.size());
-  for (const Entry& e : entries) {
-    if (!merged.empty() &&
-        std::equal(merged.back().key, merged.back().key + width, e.key)) {
-      merged.back().count += e.count;
-    } else {
-      merged.push_back(e);
+  // Effective domains: appended rows can mint codes past the table's
+  // domain sizes, so each field holds the largest code present plus one.
+  int64_t doms[kMaxAttributes] = {};
+  const auto widen = [&](const ValueId* key) {
+    for (size_t a = 0; a < width; ++a) {
+      doms[a] = std::max(doms[a], static_cast<int64_t>(key[a]) + 1);
     }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.count > b.count;
-                   });
+  };
+  for (int64_t g = 0; g < num_patterns(); ++g) widen(codes(g));
+  for (const ValueId* row : fresh) widen(row);
+  const counting::PackedLayout layout =
+      counting::MakePackedLayout(doms, width_);
 
-  std::vector<ValueId> codes;
-  std::vector<int64_t> counts;
-  codes.reserve(merged.size() * width);
-  counts.reserve(merged.size());
-  for (const Entry& e : merged) {
-    codes.insert(codes.end(), e.key, e.key + width);
-    counts.push_back(e.count);
+  // Merge the existing groups with the fresh rows (count 1 each): sort
+  // by key, sum equal keys, then restore the canonical order.
+  std::vector<Group> groups;
+  groups.reserve(counts_.size() + fresh.size());
+  if (layout.ok) {
+    // Packed codes sort in lexicographic key order.
+    const auto pack = [&](const ValueId* key) {
+      uint64_t code = 0;
+      for (size_t a = 0; a < width; ++a) {
+        code |= static_cast<uint64_t>(key[a]) << layout.shift[a];
+      }
+      return code;
+    };
+    for (int64_t g = 0; g < num_patterns(); ++g) {
+      groups.push_back(Group{pack(codes(g)), count(g)});
+    }
+    for (const ValueId* row : fresh) groups.push_back(Group{pack(row), 1});
+    MergeAndEmit(
+        std::move(groups), width,
+        [](const Group& a, const Group& b) { return a.key < b.key; },
+        [&](uint64_t code, ValueId* out) {
+          counting::DecodePacked(static_cast<int64_t>(code), layout, out);
+        },
+        &codes_, &counts_);
+    return;
   }
-  codes_ = std::move(codes);
-  counts_ = std::move(counts);
+
+  // Wider than 63 bits: the same merge over key pointers, compared
+  // lexicographically. The keys live in codes_ and `rows`, so the result
+  // goes to fresh vectors before it replaces codes_.
+  std::vector<const ValueId*> keys;
+  keys.reserve(counts_.size() + fresh.size());
+  for (int64_t g = 0; g < num_patterns(); ++g) {
+    keys.push_back(codes(g));
+    groups.push_back(Group{keys.size() - 1, count(g)});
+  }
+  for (const ValueId* row : fresh) {
+    keys.push_back(row);
+    groups.push_back(Group{keys.size() - 1, 1});
+  }
+  std::vector<ValueId> merged_codes;
+  std::vector<int64_t> merged_counts;
+  MergeAndEmit(
+      std::move(groups), width,
+      [&](const Group& a, const Group& b) {
+        return std::lexicographical_compare(keys[a.key], keys[a.key] + width,
+                                            keys[b.key], keys[b.key] + width);
+      },
+      [&](uint64_t k, ValueId* out) { std::copy_n(keys[k], width, out); },
+      &merged_codes, &merged_counts);
+  codes_ = std::move(merged_codes);
+  counts_ = std::move(merged_counts);
 }
 
 Pattern FullPatternIndex::ToPattern(int64_t i) const {

@@ -22,22 +22,26 @@ namespace pcbl {
 /// multiplicity (count) descending.
 class FullPatternIndex {
  public:
-  /// Builds the index with one scan + sort.
+  /// Builds the index from the full-width PC set (ComputePatternCounts
+  /// over every attribute, so the packed, mixed-radix or sort kernel the
+  /// counting layer picks): its NULL-free keys are exactly the full
+  /// patterns. A one-attribute schema uses the column's value counts; an
+  /// empty schema indexes every row and holds no pattern.
   static FullPatternIndex Build(const Table& table);
 
-  /// Extends the index by appended rows (row-major codes over the full
-  /// schema, kNullValue = missing; rows with a NULL produce no full
-  /// pattern, exactly as in Build). The result is byte-identical to
-  /// Build over the table extended by `rows` — the canonical order
-  /// (count descending, ties by lexicographic key) is restored with one
-  /// merge + sort over the group set, no table rescan. This is the P_A
-  /// maintenance arm of the append-aware search path (api/session.h).
-  void ApplyAppend(const std::vector<std::vector<ValueId>>& rows);
-
-  /// Flat variant: `rows` is num_rows * num_attributes() codes,
-  /// row-major — the layout CountingEngine::CopyAppendedRows produces,
-  /// so a session's P_A catch-up avoids a per-row vector per appended
-  /// row. Identical semantics to the nested form.
+  /// Extends the index by appended rows: `rows` is num_rows *
+  /// num_attributes() codes, row-major (the layout
+  /// CountingEngine::CopyAppendedRows produces), kNullValue = missing.
+  /// Rows with a NULL produce no full pattern, exactly as in Build. The
+  /// result is byte-identical to Build over the table extended by
+  /// `rows`, with no table rescan: the existing groups and the fresh
+  /// rows are packed into uint64 codes over the effective domains (the
+  /// largest code present per attribute plus one, since appended rows
+  /// can mint codes past the table's), sorted, summed per code and put
+  /// back in canonical order (count descending, ties by lexicographic
+  /// key). Layouts wider than 63 bits merge lexicographically instead.
+  /// This is the P_A maintenance arm of the append-aware search path
+  /// (api/session.h).
   void ApplyAppend(const ValueId* rows, int64_t num_rows);
 
   /// Number of distinct full patterns |P_A|.

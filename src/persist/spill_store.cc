@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <system_error>
 #include <utility>
@@ -312,6 +313,26 @@ std::optional<ServiceWarmState> SpillStore::DecodeWarmState(
   }
   if (base_only && (row_count > 0 || total_deltas > 0)) return std::nullopt;
 
+  // Every cached PC set counts these rows: base plus appended (a count
+  // the payload size bounds only when n > 0). An attribute NULL in none
+  // of them makes every subset of such attributes NULL-free, and the PC
+  // set of a NULL-free subset has no NULL cell and counts every row.
+  const int64_t base_rows = table.num_rows();
+  if (row_count > static_cast<uint64_t>(
+                      std::numeric_limits<int64_t>::max() - base_rows)) {
+    return std::nullopt;
+  }
+  const int64_t total_rows = base_rows + static_cast<int64_t>(row_count);
+  std::vector<bool> has_null(static_cast<size_t>(n));
+  for (int a = 0; a < n; ++a) {
+    has_null[static_cast<size_t>(a)] = table.HasNulls(a);
+  }
+  for (size_t i = 0; i < state.appended_rows.size(); ++i) {
+    if (state.appended_rows[i] == kNullValue) {
+      has_null[i % static_cast<size_t>(n)] = true;
+    }
+  }
+
   const uint32_t num_entries = reader.U32();
   // Each entry costs at least mask + pinned + group count.
   if (!reader.Fits(num_entries, 8 + 1 + 8)) return std::nullopt;
@@ -351,13 +372,34 @@ std::optional<ServiceWarmState> SpillStore::DecodeWarmState(
       keys[i] = code;
     }
     group_counts.resize(static_cast<size_t>(groups));
+    int64_t counted = 0;
     for (int64_t& c : group_counts) {
       c = reader.I64();
       // Every materialized group counts at least one row; zero or
-      // negative can only be corruption.
-      if (c <= 0) return std::nullopt;
+      // negative can only be corruption. No PC set counts more rows than
+      // there are.
+      if (c <= 0 || c > total_rows - counted) return std::nullopt;
+      counted += c;
     }
     if (!reader.ok()) return std::nullopt;
+    // Keys strictly ascending in canonical order (lexicographic over
+    // ValueIds, so kNullValue sorts last); this also rules out a
+    // repeated key.
+    for (size_t g = 1; g < groups; ++g) {
+      const ValueId* prev = keys.data() + (g - 1) * width;
+      const ValueId* key = prev + width;
+      if (!std::lexicographical_compare(prev, key, key, key + width)) {
+        return std::nullopt;
+      }
+    }
+    const bool null_free = std::none_of(
+        attrs.begin(), attrs.end(),
+        [&](int a) { return has_null[static_cast<size_t>(a)]; });
+    if (null_free &&
+        (counted != total_rows ||
+         std::find(keys.begin(), keys.end(), kNullValue) != keys.end())) {
+      return std::nullopt;
+    }
     entry.counts = std::move(counts);
     state.entries.push_back(std::move(entry));
   }

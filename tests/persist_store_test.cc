@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -465,16 +466,18 @@ TEST(SpillHostileTest, SemanticallyImpossibleValuesReject) {
 }
 
 TEST(SpillHostileTest, InconsistentCachedParentsNeverMislead) {
-  // Entries the decoder cannot tell from genuine ones — a NULL key cell
-  // in a NULL-free subset, a missing group, groups out of canonical
-  // order, a duplicated key — pass the codec checks above, so the engine
-  // must not trust them where it indexes by them: a budgeted child of
-  // such a cached pair is sized by sibling refinement from the pair's
-  // groups, which has to detect the mismatch and scan directly. With
-  // three values per attribute every triple completes within budget 60,
-  // so the scan reaches the rows of the missing group. Every child size
-  // must equal the one-shot counter, and a search over the restored
-  // service must run (under ASan: without a stray write).
+  // Cached pairs that cannot describe the rows — a NULL key cell in a
+  // NULL-free subset, a missing group, groups out of canonical order, a
+  // duplicated key. The decoder refuses such a record (see
+  // InconsistentPcSetsReject), but the engine must not trust a cached
+  // PC set where it indexes by it either: restored straight into a
+  // service, a budgeted child of such a pair is sized by sibling
+  // refinement from the pair's groups, which has to detect the mismatch
+  // and scan directly. With three values per attribute every triple
+  // completes within budget 60, so the scan reaches the rows of the
+  // missing group. Every child size must equal the one-shot counter,
+  // and a search over the restored service must run (under ASan:
+  // without a stray write).
   const testing::DifferentialWorkload workload = testing::RandomWorkload(
       /*seed=*/41, /*attrs=*/5, /*base_rows=*/400, /*append_rows=*/0,
       /*domain=*/3, /*append_domain=*/3, /*null_percent=*/0);
@@ -514,12 +517,12 @@ TEST(SpillHostileTest, InconsistentCachedParentsNeverMislead) {
   ASSERT_EQ(corrupted, 4);
 
   const TableFingerprint fp = FingerprintTable(*table);
-  const std::optional<ServiceWarmState> decoded = SpillStore::DecodeWarmState(
-      SpillStore::EncodeWarmState(fp, *table, state), fp, *table,
-      /*base_only=*/true);
-  ASSERT_TRUE(decoded.has_value());
+  EXPECT_FALSE(SpillStore::DecodeWarmState(
+                   SpillStore::EncodeWarmState(fp, *table, state), fp, *table,
+                   /*base_only=*/true)
+                   .has_value());
   auto restored = std::make_shared<CountingService>(table);
-  restored->RestoreWarmState(*decoded);
+  restored->RestoreWarmState(state);
   {
     std::lock_guard<std::mutex> lock(restored->mutex());
     CountingEngine& engine = restored->engine();
@@ -546,6 +549,82 @@ TEST(SpillHostileTest, InconsistentCachedParentsNeverMislead) {
   options.size_bound = 60;
   LabelSearch search(*table, restored);
   EXPECT_GT(search.TopDown(options).best_attrs.Count(), 0);
+}
+
+TEST(SpillHostileTest, InconsistentPcSetsReject) {
+  // Resealed records whose every cell and count is in range, but whose
+  // cached PC set cannot count the rows the record describes (2 base
+  // rows plus 1 appended, all NULL-free): the load must refuse the file
+  // and count a reject.
+  SpillStoreOptions options;
+  options.directory = FreshDir("store_inconsistent");
+  SpillStore store(options);
+  const Table table = TinyTable();
+  ASSERT_TRUE(store.PutWarmState(kGoldenFp, table, TinyState()));
+  const std::string bytes = GoldenWarmRecord();
+  const auto loads = [&](std::string record) {
+    Reseal(&record);
+    FILE* f = std::fopen(store.WarmStatePath(kGoldenFp).c_str(), "wb");
+    PCBL_CHECK(f != nullptr);
+    std::fwrite(record.data(), 1, record.size(), f);
+    std::fclose(f);
+    return store.GetWarmState(kGoldenFp, table, false).has_value();
+  };
+  int64_t rejects = 0;
+  const auto rejects_with_count = [&](std::string record, const char* what) {
+    EXPECT_FALSE(loads(std::move(record))) << what;
+    EXPECT_EQ(store.stats().rejects, ++rejects) << what;
+  };
+  ASSERT_TRUE(loads(bytes));
+  {
+    std::string evil = bytes;  // keys (1,0) (0,0) (2,0)
+    PutU32(&evil, kKeysOff, 1);
+    PutU32(&evil, kKeysOff + 8, 0);
+    rejects_with_count(std::move(evil), "keys out of canonical order");
+  }
+  {
+    std::string evil = bytes;  // keys (0,0) (0,0) (2,0)
+    PutU32(&evil, kKeysOff + 8, 0);
+    rejects_with_count(std::move(evil), "repeated key");
+  }
+  {
+    std::string evil = bytes;  // keys (0,0) (1,0) (2,NULL)
+    PutU32(&evil, kKeysOff + 20, kNullValue);
+    rejects_with_count(std::move(evil), "NULL cell in a NULL-free subset");
+  }
+  {
+    // The last group dropped: two groups counting 2 of the 3 rows.
+    std::string evil = bytes.substr(0, kKeysOff + 16) +
+                       bytes.substr(kCountsOff, 16);
+    PutU64(&evil, kGroupsOff, 2);
+    rejects_with_count(std::move(evil), "NULL-free subset short of rows");
+  }
+  {
+    std::string evil = bytes;
+    PutU64(&evil, kCountsOff + 8, 2);
+    rejects_with_count(std::move(evil), "NULL-free subset over its rows");
+  }
+  // With the appended row's shape NULL the subset is nullable: a NULL
+  // cell and a count sum below the row total are then genuine, a sum
+  // above it is not.
+  std::string nullable = bytes;
+  PutU32(&nullable, kRowsOff + 4, kNullValue);
+  {
+    std::string record = nullable;  // keys (0,0) (1,0) (2,NULL)
+    PutU32(&record, kKeysOff + 20, kNullValue);
+    EXPECT_TRUE(loads(std::move(record))) << "NULL cell, nullable subset";
+  }
+  {
+    std::string evil = nullable;
+    PutU64(&evil, kCountsOff, 2);
+    rejects_with_count(std::move(evil), "nullable subset over its rows");
+  }
+  {
+    std::string evil = nullable;
+    PutU64(&evil, kCountsOff + 16, std::numeric_limits<int64_t>::max());
+    rejects_with_count(std::move(evil), "count past every row total");
+  }
+  EXPECT_EQ(store.stats().rejects, 7);
 }
 
 TEST(SpillHostileTest, BaseOnlyRefusesDivergedRecords) {
