@@ -1,7 +1,7 @@
-// Ablation micro-benchmark (DESIGN.md §5.1): dense vs hash vs sort
-// group-by strategies for pattern counting, across group cardinalities,
-// plus the full-pattern index P_A that every search ranks against: its
-// build from the full-width PC set and its append catch-up.
+// Micro-benchmark (DESIGN.md §5.1): the one-shot PC-set counter across
+// group cardinalities, plus the full-pattern index P_A that every search
+// ranks against: its build from the full-width PC set and its append
+// catch-up.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -36,39 +36,6 @@ AttrMask MaskForArg(int64_t arg) {
       return AttrMask::FromIndices({0, 1, 2, 3, 4});
   }
 }
-
-void BM_GroupByDense(benchmark::State& state) {
-  const Table& t = CompasTable();
-  AttrMask mask = MaskForArg(state.range(0));
-  for (auto _ : state) {
-    GroupCounts gc = ComputeGroupCounts(t, mask, GroupByStrategy::kDense);
-    benchmark::DoNotOptimize(gc.num_groups());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupByDense)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_GroupByHash(benchmark::State& state) {
-  const Table& t = CompasTable();
-  AttrMask mask = MaskForArg(state.range(0));
-  for (auto _ : state) {
-    GroupCounts gc = ComputeGroupCounts(t, mask, GroupByStrategy::kHash);
-    benchmark::DoNotOptimize(gc.num_groups());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupByHash)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_GroupBySort(benchmark::State& state) {
-  const Table& t = CompasTable();
-  AttrMask mask = MaskForArg(state.range(0));
-  for (auto _ : state) {
-    GroupCounts gc = ComputeGroupCounts(t, mask, GroupByStrategy::kSort);
-    benchmark::DoNotOptimize(gc.num_groups());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupBySort)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_PatternCounts(benchmark::State& state) {
   const Table& t = CompasTable();

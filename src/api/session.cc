@@ -270,22 +270,13 @@ QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec) {
   LabelSearch search(dataset_.table(), vc, fpi, dataset_.service());
   if (extended) search.SetExtendedState(vc, fpi, total);
   if (!spec.focus.empty()) {
-    if (!extended) {
-      search.SetEvaluationPatterns(std::make_shared<const PatternSet>(
-          PatternSet::OverAttributes(dataset_.table(), spec.focus)));
-    } else {
-      // OverAttributes scans the base table; after appends the focus
-      // set is derived from the engine's delta-aware state instead, so
-      // a focus search keeps working — byte-identical to a rebuild.
-      Result<PatternSet> focus_set = ExtendedFocusPatterns(spec, *vc);
-      if (!focus_set.ok()) {
-        result.status = focus_set.status();
-        return result;
-      }
-      search.SetEvaluationPatterns(
-          std::make_shared<const PatternSet>(std::move(*focus_set)),
-          total);
+    Result<PatternSet> focus_set = FocusPatterns(spec, *vc);
+    if (!focus_set.ok()) {
+      result.status = focus_set.status();
+      return result;
     }
+    search.SetEvaluationPatterns(
+        std::make_shared<const PatternSet>(std::move(*focus_set)), total);
   }
   const SearchOptions options = ToSearchOptions(spec);
   result.search = spec.algorithm == QuerySpec::Algorithm::kNaive
@@ -294,15 +285,14 @@ QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec) {
   return result;
 }
 
-Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
-                                                  const ValueCounts& vc) {
+Result<PatternSet> Session::FocusPatterns(const QuerySpec& spec,
+                                          const ValueCounts& vc) {
   CountingService& service = *dataset_.service();
   std::vector<Pattern> patterns;
   std::vector<int64_t> counts;
   if (spec.focus.Count() >= 2) {
     // The fully-bound groups of the PC set over the focus mask are
-    // exactly the distinct non-NULL combinations with their counts —
-    // what OverAttributes computes — emitted in the same canonical
+    // exactly the distinct non-NULL combinations with their counts, in
     // ascending key order (partially-bound groups carry kNullValue for
     // unbound attributes and are skipped).
     std::shared_ptr<const GroupCounts> pc =
@@ -323,8 +313,7 @@ Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
     }
   } else {
     // Arity 1: PC sets hold no single-attribute patterns; the synced VC
-    // is the maintained ground truth, and ascending ValueId order is
-    // OverAttributes' group order over the rebuilt table.
+    // is the maintained ground truth, read in ascending ValueId order.
     const int attr = spec.focus.ToIndices()[0];
     const std::vector<int64_t>& per_value = vc.CountsFor(attr);
     for (size_t v = 0; v < per_value.size(); ++v) {
@@ -336,10 +325,10 @@ Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
       counts.push_back(per_value[v]);
     }
   }
-  // The same stable count-descending sort OverAttributes applies — with
-  // identical insertion order, ties land identically, so the search's
-  // ErrorReport (evaluated / early-terminated counts included) matches
-  // a from-scratch rebuild byte for byte.
+  // A stable count-descending sort over keys in ascending order: count
+  // ties land in key order, so the search's ErrorReport (evaluated /
+  // early-terminated counts included) is the same whether the data was
+  // appended to or rebuilt from scratch.
   return PatternSet::FromPatternsAndCounts(std::move(patterns),
                                            std::move(counts));
 }

@@ -215,15 +215,15 @@ class Session {
   // The engine's appended rows in [from, to), flat row-major.
   std::vector<ValueId> EngineRows(int64_t from, int64_t to) const;
 
-  // Rebuilds the focus pattern set over the *extended* data:
-  // OverAttributes scans the base table, so after appends the set is
-  // derived from delta-aware state instead — the engine's PC set over
-  // the focus mask (arity >= 2) or the synced VC (arity 1). Order
-  // matches what OverAttributes would produce over the rebuilt table,
-  // so the ErrorReport stays byte-identical. Caller holds the
+  // The focus pattern set — every value combination over the focus
+  // attributes with its count — over all the data the engine holds,
+  // appended rows included: the fully-bound groups of the engine's PC
+  // set over the focus mask (arity >= 2) or the synced VC (arity 1).
+  // Ties keep ascending key order, so the ErrorReport is byte-identical
+  // to a search over a from-scratch rebuild. Caller holds the
   // QueryAdmission.
-  Result<PatternSet> ExtendedFocusPatterns(const QuerySpec& spec,
-                                           const ValueCounts& vc);
+  Result<PatternSet> FocusPatterns(const QuerySpec& spec,
+                                   const ValueCounts& vc);
 
   // Resolves (attribute name, value string) terms against the service's
   // shared interner (base dictionaries plus the committed dictionary-

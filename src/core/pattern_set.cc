@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "pattern/counter.h"
 #include "util/logging.h"
 #include "util/str.h"
 
@@ -53,19 +52,6 @@ Result<PatternSet> PatternSet::FromPatternsAndCounts(
   PatternSet out;
   out.patterns_ = std::move(patterns);
   out.counts_ = std::move(counts);
-  SortByCountDescending(out.patterns_, out.counts_);
-  return out;
-}
-
-PatternSet PatternSet::OverAttributes(const Table& table, AttrMask attrs) {
-  GroupCounts gc = ComputeGroupCounts(table, attrs);
-  PatternSet out;
-  out.patterns_.reserve(static_cast<size_t>(gc.num_groups()));
-  out.counts_.reserve(static_cast<size_t>(gc.num_groups()));
-  for (int64_t g = 0; g < gc.num_groups(); ++g) {
-    out.patterns_.push_back(gc.ToPattern(g));
-    out.counts_.push_back(gc.count(g));
-  }
   SortByCountDescending(out.patterns_, out.counts_);
   return out;
 }

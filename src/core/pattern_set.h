@@ -4,8 +4,10 @@
 // problem definition is more flexible, and allows the user to define a
 // different pattern set, e.g., patterns that include only sensitive
 // attributes." The experiments use P = P_A (FullPatternIndex), but the
-// search also accepts a PatternSet built from any pattern list or from all
-// value combinations over a chosen (e.g. sensitive) attribute subset.
+// search also accepts a PatternSet built from any pattern list — e.g. all
+// value combinations over a chosen (sensitive) attribute subset, which
+// api::Session builds for a focus query from the counting engine's PC
+// set.
 // Patterns are kept sorted by true count descending so the Sec. IV-C
 // early-termination scan applies.
 #ifndef PCBL_CORE_PATTERN_SET_H_
@@ -36,11 +38,6 @@ class PatternSet {
   /// Builds from patterns with precomputed counts (sizes must match).
   static Result<PatternSet> FromPatternsAndCounts(
       std::vector<Pattern> patterns, std::vector<int64_t> counts);
-
-  /// All value combinations over exactly `attrs` that appear in the data
-  /// (the set P_S of Definition 2.9): "patterns that include only
-  /// sensitive attributes".
-  static PatternSet OverAttributes(const Table& table, AttrMask attrs);
 
   int64_t size() const { return static_cast<int64_t>(patterns_.size()); }
   const Pattern& pattern(int64_t i) const {

@@ -2,178 +2,169 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <numeric>
 
 #include "pattern/packed_codec.h"
 #include "pattern/packed_kernels.h"
 #include "pattern/restriction_codec.h"
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace pcbl {
 
 using counting::CodeCountMap;
 using counting::CodeSet;
-using counting::NullableRadixMultipliers;
 
 namespace {
 
 using Access = GroupCountsAccess;
 
-// Upper bound on the dense direct-addressing array (entries).
-constexpr int64_t kDenseLimit = int64_t{1} << 22;
-
-// Returns the attribute indices of `mask`, ascending.
-std::vector<int> MaskAttrs(AttrMask mask) { return mask.ToIndices(); }
-
-// Encodes the values of `row` over `attrs` in mixed radix; returns false
-// when the row has a NULL in any grouped attribute.
-inline bool EncodeRow(const Table& table, const std::vector<int>& attrs,
-                      const std::vector<int64_t>& radix_mult, int64_t row,
-                      int64_t* out) {
-  int64_t code = 0;
-  for (size_t j = 0; j < attrs.size(); ++j) {
-    ValueId v = table.value(row, attrs[j]);
-    if (IsNull(v)) return false;
-    code += static_cast<int64_t>(v) * radix_mult[j];
-  }
-  *out = code;
-  return true;
-}
-
-// Precomputes mixed-radix multipliers; attrs[0] is the most significant.
-std::vector<int64_t> RadixMultipliers(const Table& table,
-                                      const std::vector<int>& attrs) {
+// The mixed-radix restriction codec. Each attribute contributes |Dom| + 1
+// slots, the last marking NULL, and attrs[0] is the most significant, so
+// ascending codes are the canonical order. Returns the multipliers; sets
+// *ok to false (with a partial vector) when the key space overflows int64.
+std::vector<int64_t> NullableRadixMultipliers(const Table& table,
+                                              const std::vector<int>& attrs,
+                                              bool* ok) {
   std::vector<int64_t> mult(attrs.size());
   int64_t m = 1;
+  *ok = true;
   for (size_t j = attrs.size(); j-- > 0;) {
     mult[j] = m;
-    m *= std::max<int64_t>(1, table.DomainSize(attrs[j]));
+    const int64_t dom = static_cast<int64_t>(table.DomainSize(attrs[j])) + 1;
+    if (m > std::numeric_limits<int64_t>::max() / dom) {
+      *ok = false;
+      return mult;
+    }
+    m *= dom;
   }
   return mult;
 }
 
-void DecodeKey(int64_t code, const Table& table,
-               const std::vector<int>& attrs,
-               const std::vector<int64_t>& radix_mult, ValueId* out) {
-  for (size_t j = 0; j < attrs.size(); ++j) {
-    int64_t q = code / radix_mult[j];
-    out[j] = static_cast<ValueId>(
-        q % std::max<int64_t>(1, table.DomainSize(attrs[j])));
+// Streams the mixed-radix code of every row's restriction of arity >= 2
+// through `fn`, stopping when it returns false. Column pointers and NULL
+// slots are hoisted out of the row loop; Table::value() would pay a
+// double indirection per cell.
+template <typename Fn>
+void ForEachRadixCode(const Table& table, const std::vector<int>& attrs,
+                      const std::vector<int64_t>& mult, Fn&& fn) {
+  const size_t width = attrs.size();
+  const ValueId* cols[kMaxAttributes];
+  int64_t null_slot[kMaxAttributes];
+  for (size_t j = 0; j < width; ++j) {
+    cols[j] = table.column(attrs[j]).data();
+    null_slot[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
   }
-}
-
-GroupCounts DenseGroupBy(const Table& table, AttrMask mask,
-                         int64_t key_space) {
-  GroupCounts out;
-  Access::mask(out) = mask;
-  std::vector<int>& attrs = Access::attrs(out);
-  std::vector<ValueId>& keys = Access::keys(out);
-  std::vector<int64_t>& group_counts = Access::counts(out);
-  attrs = MaskAttrs(mask);
-  std::vector<int64_t> mult = RadixMultipliers(table, attrs);
-  std::vector<int64_t> counts(static_cast<size_t>(key_space), 0);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    int64_t code;
-    if (EncodeRow(table, attrs, mult, r, &code)) {
-      ++counts[static_cast<size_t>(code)];
-    }
-  }
-  size_t width = attrs.size();
-  for (int64_t code = 0; code < key_space; ++code) {
-    int64_t c = counts[static_cast<size_t>(code)];
-    if (c == 0) continue;
-    size_t base = keys.size();
-    keys.resize(base + width);
-    DecodeKey(code, table, attrs, mult, keys.data() + base);
-    group_counts.push_back(c);
-  }
-  return out;
-}
-
-GroupCounts HashGroupBy(const Table& table, AttrMask mask) {
-  GroupCounts out;
-  Access::mask(out) = mask;
-  std::vector<int>& attrs = Access::attrs(out);
-  std::vector<ValueId>& keys = Access::keys(out);
-  std::vector<int64_t>& group_counts = Access::counts(out);
-  attrs = MaskAttrs(mask);
-  std::vector<int64_t> mult = RadixMultipliers(table, attrs);
-  std::unordered_map<int64_t, int64_t> counts;
-  counts.reserve(1024);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    int64_t code;
-    if (EncodeRow(table, attrs, mult, r, &code)) ++counts[code];
-  }
-  // Emit in ascending code order for determinism.
-  std::vector<std::pair<int64_t, int64_t>> items(counts.begin(),
-                                                 counts.end());
-  std::sort(items.begin(), items.end());
-  size_t width = attrs.size();
-  for (const auto& [code, c] : items) {
-    size_t base = keys.size();
-    keys.resize(base + width);
-    DecodeKey(code, table, attrs, mult, keys.data() + base);
-    group_counts.push_back(c);
-  }
-  return out;
-}
-
-GroupCounts SortGroupBy(const Table& table, AttrMask mask) {
-  GroupCounts out;
-  Access::mask(out) = mask;
-  std::vector<int>& attrs = Access::attrs(out);
-  std::vector<ValueId>& keys = Access::keys(out);
-  std::vector<int64_t>& group_counts = Access::counts(out);
-  attrs = MaskAttrs(mask);
-  size_t width = attrs.size();
-  // Materialize row-major keys of rows without NULLs.
-  std::vector<ValueId> rows;
-  rows.reserve(static_cast<size_t>(table.num_rows()) * width);
-  std::vector<ValueId> key(width);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    bool ok = true;
+  const int64_t rows = table.num_rows();
+  for (int64_t r = 0; r < rows; ++r) {
+    int64_t code = 0;
+    int arity = 0;
     for (size_t j = 0; j < width; ++j) {
-      ValueId v = table.value(r, attrs[j]);
+      const ValueId v = cols[j][r];
+      int64_t slot;
       if (IsNull(v)) {
-        ok = false;
-        break;
+        slot = null_slot[j];
+      } else {
+        slot = static_cast<int64_t>(v);
+        ++arity;
       }
-      key[j] = v;
+      code += slot * mult[j];
     }
-    if (ok) rows.insert(rows.end(), key.begin(), key.end());
+    if (arity >= 2 && !fn(code)) return;
   }
-  size_t n = width == 0 ? 0 : rows.size() / width;
+}
+
+// Sorts (code, count) items and decodes each code into a key: the
+// mixed-radix counterpart of MaterializeFromPackedCodes.
+GroupCounts MaterializeFromRadixCodes(
+    const Table& table, AttrMask mask, std::vector<int> attrs,
+    const std::vector<int64_t>& mult,
+    std::vector<std::pair<int64_t, int64_t>> items) {
+  std::sort(items.begin(), items.end());
+  const size_t width = attrs.size();
+  int64_t doms[kMaxAttributes];
+  for (size_t j = 0; j < width; ++j) {
+    doms[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
+  }
+  GroupCounts out;
+  Access::mask(out) = mask;
+  std::vector<ValueId>& keys = Access::keys(out);
+  std::vector<int64_t>& counts = Access::counts(out);
+  keys.reserve(items.size() * width);
+  counts.reserve(items.size());
+  for (const auto& [code, c] : items) {
+    for (size_t j = 0; j < width; ++j) {
+      const int64_t slot = (code / mult[j]) % (doms[j] + 1);
+      keys.push_back(slot == doms[j] ? kNullValue
+                                     : static_cast<ValueId>(slot));
+    }
+    counts.push_back(c);
+  }
+  Access::attrs(out) = std::move(attrs);
+  return out;
+}
+
+}  // namespace
+
+namespace counting {
+
+int64_t SortRestrictionCounts(const SubsetColumns& view, AttrMask mask,
+                              int64_t budget, GroupCounts* out) {
+  const size_t width = static_cast<size_t>(view.width);
+  std::vector<ValueId> keys;
+  keys.reserve(static_cast<size_t>(view.rows + view.delta_rows) * width);
+  const auto add = [&](auto value_at) {
+    const size_t base = keys.size();
+    keys.resize(base + width);
+    int arity = 0;
+    for (size_t j = 0; j < width; ++j) {
+      const ValueId v = value_at(j);
+      keys[base + j] = v;
+      arity += static_cast<int>(!IsNull(v));
+    }
+    if (arity < 2) keys.resize(base);  // low arity: not stored
+  };
+  for (int64_t r = 0; r < view.rows; ++r) {
+    add([&](size_t j) { return view.cols[j][r]; });
+  }
+  for (int64_t r = 0; r < view.delta_rows; ++r) {
+    const ValueId* row = view.delta + r * view.delta_stride;
+    add([&](size_t j) { return row[view.delta_attr[j]]; });
+  }
+
+  const size_t n = width == 0 ? 0 : keys.size() / width;
   std::vector<int64_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int64_t>(i);
-  const ValueId* data = rows.data();
+  std::iota(order.begin(), order.end(), int64_t{0});
+  const ValueId* data = keys.data();
+  const auto key_of = [&](size_t i) {
+    return data + static_cast<size_t>(order[i]) * width;
+  };
   std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     const ValueId* ka = data + static_cast<size_t>(a) * width;
     const ValueId* kb = data + static_cast<size_t>(b) * width;
     return std::lexicographical_compare(ka, ka + width, kb, kb + width);
   });
-  // Count runs.
-  size_t i = 0;
-  while (i < n) {
-    const ValueId* ki = data + static_cast<size_t>(order[i]) * width;
+  if (out != nullptr) {
+    *out = GroupCounts();
+    Access::mask(*out) = mask;
+    Access::attrs(*out) = mask.ToIndices();
+  }
+  int64_t distinct = 0;
+  for (size_t i = 0; i < n;) {
+    const ValueId* run = key_of(i);
     size_t j = i + 1;
-    while (j < n) {
-      const ValueId* kj = data + static_cast<size_t>(order[j]) * width;
-      if (!std::equal(ki, ki + width, kj)) break;
-      ++j;
+    while (j < n && std::equal(run, run + width, key_of(j))) ++j;
+    ++distinct;
+    if (out != nullptr) {
+      Access::keys(*out).insert(Access::keys(*out).end(), run, run + width);
+      Access::counts(*out).push_back(static_cast<int64_t>(j - i));
     }
-    keys.insert(keys.end(), ki, ki + width);
-    group_counts.push_back(static_cast<int64_t>(j - i));
+    if (budget >= 0 && distinct > budget) break;
     i = j;
   }
-  if (width == 0 && table.num_rows() > 0) {
-    // Grouping by the empty set: one group counting all rows.
-    group_counts.push_back(table.num_rows());
-  }
-  return out;
+  return distinct;
 }
 
-}  // namespace
+}  // namespace counting
 
 int64_t GroupCounts::total_count() const {
   int64_t total = 0;
@@ -193,155 +184,10 @@ Pattern GroupCounts::ToPattern(int64_t g) const {
   return std::move(result).value();
 }
 
-std::optional<int64_t> DenseKeySpace(const Table& table, AttrMask mask) {
-  int64_t space = 1;
-  for (int a : mask.ToIndices()) {
-    int64_t dom = std::max<int64_t>(1, table.DomainSize(a));
-    if (space > std::numeric_limits<int64_t>::max() / dom) {
-      return std::nullopt;
-    }
-    space *= dom;
-  }
-  return space;
-}
-
-GroupCounts ComputeGroupCounts(const Table& table, AttrMask mask,
-                               GroupByStrategy strategy) {
-  std::optional<int64_t> space = DenseKeySpace(table, mask);
-  if (strategy == GroupByStrategy::kAuto) {
-    if (space.has_value() && *space <= kDenseLimit &&
-        *space <= 8 * table.num_rows() + 1024) {
-      strategy = GroupByStrategy::kDense;
-    } else if (space.has_value()) {
-      strategy = GroupByStrategy::kHash;
-    } else {
-      strategy = GroupByStrategy::kSort;
-    }
-  }
-  switch (strategy) {
-    case GroupByStrategy::kDense:
-      PCBL_CHECK(space.has_value() && *space <= kDenseLimit)
-          << "dense group-by requested but key space too large";
-      return DenseGroupBy(table, mask, *space);
-    case GroupByStrategy::kHash:
-      PCBL_CHECK(space.has_value())
-          << "hash group-by requires a 64-bit-encodable key space";
-      return HashGroupBy(table, mask);
-    case GroupByStrategy::kSort:
-      return SortGroupBy(table, mask);
-    case GroupByStrategy::kAuto:
-      break;
-  }
-  PCBL_CHECK(false) << "unreachable";
-  return GroupCounts();
-}
-
-namespace {
-
-// Sort-based fallback for restriction counting when the nullable key
-// space overflows 64 bits (does not occur in the paper's datasets).
-GroupCounts SortRestrictionCounts(const Table& table, AttrMask mask) {
-  GroupCounts out;
-  Access::mask(out) = mask;
-  std::vector<int>& attrs = Access::attrs(out);
-  std::vector<ValueId>& keys = Access::keys(out);
-  std::vector<int64_t>& group_counts = Access::counts(out);
-  attrs = MaskAttrs(mask);
-  size_t width = attrs.size();
-  if (width < 2) return out;
-  std::vector<ValueId> rows;
-  rows.reserve(static_cast<size_t>(table.num_rows()) * width);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    int arity = 0;
-    size_t base = rows.size();
-    rows.resize(base + width);
-    for (size_t j = 0; j < width; ++j) {
-      ValueId v = table.value(r, attrs[j]);
-      rows[base + j] = v;
-      if (!IsNull(v)) ++arity;
-    }
-    if (arity < 2) rows.resize(base);  // drop low-arity restrictions
-  }
-  size_t n = rows.size() / width;
-  std::vector<int64_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int64_t>(i);
-  const ValueId* data = rows.data();
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const ValueId* ka = data + static_cast<size_t>(a) * width;
-    const ValueId* kb = data + static_cast<size_t>(b) * width;
-    return std::lexicographical_compare(ka, ka + width, kb, kb + width);
-  });
-  size_t i = 0;
-  while (i < n) {
-    const ValueId* ki = data + static_cast<size_t>(order[i]) * width;
-    size_t j = i + 1;
-    while (j < n) {
-      const ValueId* kj = data + static_cast<size_t>(order[j]) * width;
-      if (!std::equal(ki, ki + width, kj)) break;
-      ++j;
-    }
-    keys.insert(keys.end(), ki, ki + width);
-    group_counts.push_back(static_cast<int64_t>(j - i));
-    i = j;
-  }
-  return out;
-}
-
-// Counting-only variant of SortRestrictionCounts with the same early-exit
-// budget contract as CountDistinctPatterns: the sort itself cannot be
-// skipped, but run counting stops (and no keys/counts are materialized)
-// once the distinct count exceeds `budget`.
-int64_t SortRestrictionCountsSize(const Table& table, AttrMask mask,
-                                  int64_t budget) {
-  std::vector<int> attrs = MaskAttrs(mask);
-  size_t width = attrs.size();
-  if (width < 2) return 0;
-  std::vector<ValueId> rows;
-  rows.reserve(static_cast<size_t>(table.num_rows()) * width);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    int arity = 0;
-    size_t base = rows.size();
-    rows.resize(base + width);
-    for (size_t j = 0; j < width; ++j) {
-      ValueId v = table.value(r, attrs[j]);
-      rows[base + j] = v;
-      if (!IsNull(v)) ++arity;
-    }
-    if (arity < 2) rows.resize(base);  // drop low-arity restrictions
-  }
-  size_t n = rows.size() / width;
-  std::vector<int64_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int64_t>(i);
-  const ValueId* data = rows.data();
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const ValueId* ka = data + static_cast<size_t>(a) * width;
-    const ValueId* kb = data + static_cast<size_t>(b) * width;
-    return std::lexicographical_compare(ka, ka + width, kb, kb + width);
-  });
-  int64_t distinct = 0;
-  size_t i = 0;
-  while (i < n) {
-    const ValueId* ki = data + static_cast<size_t>(order[i]) * width;
-    size_t j = i + 1;
-    while (j < n) {
-      const ValueId* kj = data + static_cast<size_t>(order[j]) * width;
-      if (!std::equal(ki, ki + width, kj)) break;
-      ++j;
-    }
-    ++distinct;
-    if (budget >= 0 && distinct > budget) return distinct;
-    i = j;
-  }
-  return distinct;
-}
-
-}  // namespace
-
 GroupCounts ComputePatternCounts(const Table& table, AttrMask mask,
                                  RestrictionStrategy strategy) {
-  std::vector<int> attrs = MaskAttrs(mask);
-  size_t width = attrs.size();
-  if (width < 2) {
+  std::vector<int> attrs = mask.ToIndices();
+  if (attrs.size() < 2) {
     // Arity-1 info lives in VC; nothing to store beyond the layout.
     GroupCounts out;
     Access::mask(out) = mask;
@@ -349,143 +195,72 @@ GroupCounts ComputePatternCounts(const Table& table, AttrMask mask,
     return out;
   }
 
-  counting::PackedLayout layout = counting::MakePackedLayout(table, attrs);
+  const counting::PackedLayout layout =
+      counting::MakePackedLayout(table, attrs);
   if (strategy == RestrictionStrategy::kAuto && layout.ok) {
     strategy = RestrictionStrategy::kPacked;
   }
   if (strategy == RestrictionStrategy::kPacked) {
     PCBL_CHECK(layout.ok) << "subset is not packed-eligible";
-    counting::SubsetColumns view = counting::MakeSubsetColumns(table, attrs);
+    const counting::SubsetColumns view =
+        counting::MakeSubsetColumns(table, attrs);
     return counting::MaterializeFromPackedCodes(
         mask, std::move(attrs), layout,
         counting::PackedCountGroups(view, layout, /*groups_hint=*/-1));
   }
 
   bool encodable = false;
-  std::vector<int64_t> mult =
+  const std::vector<int64_t> mult =
       NullableRadixMultipliers(table, attrs, &encodable);
-  if (strategy == RestrictionStrategy::kAuto ||
-      strategy == RestrictionStrategy::kMixedRadix) {
-    if (!encodable) {
-      PCBL_CHECK(strategy == RestrictionStrategy::kAuto)
-          << "key space is not 64-bit-encodable";
-      return SortRestrictionCounts(table, mask);
-    }
-  } else {
-    return SortRestrictionCounts(table, mask);  // kSort forced
+  if (strategy == RestrictionStrategy::kSort ||
+      (strategy == RestrictionStrategy::kAuto && !encodable)) {
+    GroupCounts out;
+    counting::SortRestrictionCounts(counting::MakeSubsetColumns(table, attrs),
+                                    mask, /*budget=*/-1, &out);
+    return out;
   }
-
-  // Hoist column pointers and NULL slots (see CountDistinctPatterns).
-  const ValueId* cols[kMaxAttributes];
-  int64_t null_slot[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) {
-    cols[j] = table.column(attrs[j]).data();
-    null_slot[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
-  }
+  PCBL_CHECK(encodable) << "key space is not 64-bit-encodable";
   CodeCountMap counts(counting::SizingReserve(-1, table.num_rows()));
-  const int64_t rows = table.num_rows();
-  for (int64_t r = 0; r < rows; ++r) {
-    int64_t code = 0;
-    int arity = 0;
-    for (size_t j = 0; j < width; ++j) {
-      ValueId v = cols[j][r];
-      int64_t slot;
-      if (IsNull(v)) {
-        slot = null_slot[j];
-      } else {
-        slot = static_cast<int64_t>(v);
-        ++arity;
-      }
-      code += slot * mult[j];
-    }
-    if (arity >= 2) counts.Increment(code);
-  }
-  return counting::MaterializeFromCodes(table, mask, attrs, mult,
-                                        counts.Items());
+  ForEachRadixCode(table, attrs, mult, [&](int64_t code) {
+    counts.Increment(code);
+    return true;
+  });
+  return MaterializeFromRadixCodes(table, mask, std::move(attrs), mult,
+                                   counts.Items());
 }
 
 int64_t CountDistinctPatterns(const Table& table, AttrMask mask,
                               int64_t budget,
                               RestrictionStrategy strategy) {
-  std::vector<int> attrs = MaskAttrs(mask);
-  const size_t width = attrs.size();
-  if (width < 2) return 0;
+  const std::vector<int> attrs = mask.ToIndices();
+  if (attrs.size() < 2) return 0;
 
-  counting::PackedLayout layout = counting::MakePackedLayout(table, attrs);
+  const counting::PackedLayout layout =
+      counting::MakePackedLayout(table, attrs);
   if (strategy == RestrictionStrategy::kAuto && layout.ok) {
     strategy = RestrictionStrategy::kPacked;
   }
   if (strategy == RestrictionStrategy::kPacked) {
     PCBL_CHECK(layout.ok) << "subset is not packed-eligible";
-    counting::SubsetColumns view = counting::MakeSubsetColumns(table, attrs);
-    return counting::PackedCountDistinct(view, layout, budget);
+    return counting::PackedCountDistinct(
+        counting::MakeSubsetColumns(table, attrs), layout, budget);
   }
 
   bool encodable = false;
-  std::vector<int64_t> mult =
+  const std::vector<int64_t> mult =
       NullableRadixMultipliers(table, attrs, &encodable);
-  if (strategy == RestrictionStrategy::kSort || !encodable) {
-    PCBL_CHECK(strategy != RestrictionStrategy::kMixedRadix)
-        << "key space is not 64-bit-encodable";
-    return SortRestrictionCountsSize(table, mask, budget);
+  if (strategy == RestrictionStrategy::kSort ||
+      (strategy == RestrictionStrategy::kAuto && !encodable)) {
+    return counting::SortRestrictionCounts(
+        counting::MakeSubsetColumns(table, attrs), mask, budget,
+        /*out=*/nullptr);
   }
-  // Hoist per-attribute column pointers and NULL slots out of the row
-  // loop; Table::value() would pay a double indirection per cell.
-  const ValueId* cols[kMaxAttributes];
-  int64_t null_slot[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) {
-    cols[j] = table.column(attrs[j]).data();
-    null_slot[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
-  }
+  PCBL_CHECK(encodable) << "key space is not 64-bit-encodable";
   CodeSet seen(counting::SizingReserve(budget, table.num_rows()));
-  const int64_t rows = table.num_rows();
-  for (int64_t r = 0; r < rows; ++r) {
-    int64_t code = 0;
-    int arity = 0;
-    for (size_t j = 0; j < width; ++j) {
-      ValueId v = cols[j][r];
-      int64_t slot;
-      if (IsNull(v)) {
-        slot = null_slot[j];
-      } else {
-        slot = static_cast<int64_t>(v);
-        ++arity;
-      }
-      code += slot * mult[j];
-    }
-    if (arity < 2) continue;
-    if (seen.Insert(code) && budget >= 0 && seen.size() > budget) {
-      return seen.size();
-    }
-  }
+  ForEachRadixCode(table, attrs, mult, [&](int64_t code) {
+    return !(seen.Insert(code) && budget >= 0 && seen.size() > budget);
+  });
   return seen.size();
-}
-
-int64_t CountDistinctCombos(const Table& table, AttrMask mask,
-                            int64_t budget) {
-  if (mask.empty()) return table.num_rows() > 0 ? 1 : 0;
-  std::vector<int> attrs = MaskAttrs(mask);
-  std::optional<int64_t> space = DenseKeySpace(table, mask);
-  if (space.has_value()) {
-    // When even the full key space cannot exceed the budget, the group
-    // count certainly does not; but we still need the exact number, so only
-    // the scan below decides. Use an open-addressing set with early exit
-    // (same optimization as CountDistinctPatterns).
-    std::vector<int64_t> mult = RadixMultipliers(table, attrs);
-    CodeSet seen(budget >= 0 ? static_cast<size_t>(budget) + 2 : 1024);
-    for (int64_t r = 0; r < table.num_rows(); ++r) {
-      int64_t code;
-      if (!EncodeRow(table, attrs, mult, r, &code)) continue;
-      if (seen.Insert(code) && budget >= 0 && seen.size() > budget) {
-        return seen.size();
-      }
-    }
-    return seen.size();
-  }
-  // Key space overflows 64 bits: fall back to an exact sort-based count
-  // (no early exit; this regime does not occur in the paper's datasets).
-  GroupCounts gc = ComputeGroupCounts(table, mask, GroupByStrategy::kSort);
-  return gc.num_groups();
 }
 
 }  // namespace pcbl

@@ -1,19 +1,30 @@
-// Group-by counting over attribute subsets — the engine behind both label
-// construction (computing the PC set of Definition 2.9) and label sizing
-// (|P_S|, the budget check of the search algorithms).
+// One-shot restriction counting over attribute subsets — the reference
+// counters behind both label construction (the PC set of Definition 2.9)
+// and label sizing (|P_S|, the budget check of the search algorithms).
+// The memoizing CountingEngine (counting_engine.h) answers the same
+// questions byte-identically and delegates here for subsets that do not
+// pack.
 //
 // Three strategies are provided and picked automatically:
-//   * dense:  mixed-radix direct addressing when ∏|Dom| is small,
-//   * hash:   64-bit-encodable keys into an open-addressing map,
-//   * sort:   exact lexicographic sort-and-run-count fallback (always
-//             applicable, used when the key space overflows 64 bits).
-// Rows with a NULL in any grouped attribute contribute no pattern
-// (Definition 2.3: NULL never satisfies an equality term).
+//   * packed:      shift/OR codes (packed_codec.h) through the tiled
+//                  kernels of packed_kernels.h, when the subset packs
+//                  into 63 bits,
+//   * mixed-radix: one int64 code per restriction over radix |Dom| + 1,
+//                  when ∏(|Dom| + 1) still fits an int64,
+//   * sort:        lexicographic sort-and-run-count of raw keys, always
+//                  applicable.
+// Mixed-radix stays only here, for subsets too wide to pack but still
+// encodable. CreditCard's full width (69 packed bits, the P_A build) is
+// one; there it is about three times faster than the sort (DESIGN.md
+// §5.1).
+//
+// Rows group by their *non-NULL restriction* to the subset (NULL never
+// satisfies an equality term, Definition 2.3), and only restrictions
+// binding at least two attributes are stored.
 #ifndef PCBL_PATTERN_COUNTER_H_
 #define PCBL_PATTERN_COUNTER_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "pattern/pattern.h"
@@ -21,14 +32,6 @@
 #include "util/attr_mask.h"
 
 namespace pcbl {
-
-/// Which group-by implementation to use.
-enum class GroupByStrategy {
-  kAuto,
-  kDense,
-  kHash,
-  kSort,
-};
 
 /// The exact pattern counts over one attribute subset: the PC set of
 /// L_S(D), restricted to patterns with positive count.
@@ -70,30 +73,12 @@ class GroupCounts {
   std::vector<int64_t> counts_;  // per group
 };
 
-/// Computes the exact pattern counts of `table` grouped by `mask`.
-GroupCounts ComputeGroupCounts(const Table& table, AttrMask mask,
-                               GroupByStrategy strategy =
-                                   GroupByStrategy::kAuto);
-
-/// Counts distinct non-NULL combinations over `mask`, stopping early once
-/// the count exceeds `budget` (when budget >= 0). Returns the exact count
-/// when it is <= budget, otherwise any value > budget. This early exit is
-/// what makes the naive search algorithm feasible: most candidate subsets
-/// blow past the bound within a few hundred rows.
-int64_t CountDistinctCombos(const Table& table, AttrMask mask,
-                            int64_t budget = -1);
-
-/// Mixed-radix encoding capacity: product of domain sizes of `mask`, or
-/// nullopt when it would overflow int64 (or when any domain is empty while
-/// the column still has rows — impossible in practice).
-std::optional<int64_t> DenseKeySpace(const Table& table, AttrMask mask);
-
 /// Which restriction-counting implementation to use. kAuto picks the
-/// bit-packed kernels (packed_kernels.h) whenever the subset's packed
-/// width fits in 63 bits, then the mixed-radix hash path when the
-/// nullable key space fits an int64, then the sort fallback. All three
-/// produce byte-identical GroupCounts / counts — the forced values exist
-/// for differential tests and the sizing micro-benchmarks.
+/// packed kernels whenever the subset's packed width fits in 63 bits,
+/// then mixed-radix when the nullable key space fits an int64, then the
+/// sort fallback. All three produce byte-identical GroupCounts / counts
+/// — the forced values exist for differential tests and the sizing
+/// micro-benchmarks.
 enum class RestrictionStrategy {
   kAuto,
   kPacked,
@@ -106,10 +91,10 @@ enum class RestrictionStrategy {
 /// to `mask`, and only restrictions binding at least two attributes are
 /// stored (arity-0/1 information is already carried by |D| and VC). Keys
 /// have width |mask| with kNullValue marking unbound attributes, and are
-/// emitted in ascending mixed-radix order (NULL sorting last per
-/// attribute).
+/// emitted in canonical order: lexicographic over the keys, NULL sorting
+/// last per attribute.
 ///
-/// On NULL-free data this is identical to ComputeGroupCounts for
+/// On NULL-free data this is the plain group-by over `mask` for
 /// |mask| >= 2, and empty for smaller masks. This is the semantics under
 /// which Lemma A.8's label sizes and the Theorem 2.17 reduction are sound;
 /// see DESIGN.md §5a.
@@ -117,9 +102,12 @@ GroupCounts ComputePatternCounts(const Table& table, AttrMask mask,
                                  RestrictionStrategy strategy =
                                      RestrictionStrategy::kAuto);
 
-/// |P_S| under the same semantics, with the same early-exit budget
-/// behaviour as CountDistinctCombos. This is the quantity the search
-/// algorithms bound by B_s.
+/// |P_S| under the same semantics. Stops early once the count exceeds
+/// `budget` (when budget >= 0): returns the exact count when it is
+/// <= budget, otherwise any value > budget. This is the quantity the
+/// search algorithms bound by B_s, and the early exit is what makes them
+/// feasible: most candidate subsets blow past the bound within a few
+/// hundred rows.
 int64_t CountDistinctPatterns(const Table& table, AttrMask mask,
                               int64_t budget = -1,
                               RestrictionStrategy strategy =

@@ -13,11 +13,8 @@
 namespace pcbl {
 
 using counting::CodeCountMap;
-using counting::CodeSet;
 using counting::MakePackedLayout;
-using counting::MaterializeFromCodes;
 using counting::MaterializeFromPackedCodes;
-using counting::NullableRadixMultipliers;
 using counting::PackedCountDistinct;
 using counting::PackedCountGroups;
 using counting::PackedLayout;
@@ -37,52 +34,6 @@ inline bool KeyLess(const ValueId* a, const ValueId* b, int width) {
 // the key/count payload: map node, FIFO slot, trie node, shared_ptr
 // control block.
 constexpr int64_t kCacheEntryOverheadBytes = 64;
-
-// Streams every base row, then every delta row, of one attribute subset
-// through `fn`, which receives a value_at(j) accessor and returns false
-// to stop the scan early. The one row loop shared by the mixed-radix
-// and sort-fallback scan paths.
-template <typename Fn>
-void ForEachSubsetRow(const ValueId* const* cols, int64_t rows,
-                      const ValueId* delta, int64_t delta_rows,
-                      int64_t delta_stride, const int* attrs, Fn&& fn) {
-  for (int64_t r = 0; r < rows; ++r) {
-    if (!fn([&](size_t j) { return cols[j][r]; })) return;
-  }
-  for (int64_t r = 0; r < delta_rows; ++r) {
-    const ValueId* row = delta + r * delta_stride;
-    if (!fn([&](size_t j) { return row[attrs[j]]; })) return;
-  }
-}
-
-// Sorts row-major keys and emits (run start, run length) pairs in the
-// canonical lexicographic order; shared by the sort-fallback sizing and
-// combo paths.
-template <typename EmitRun>
-void ForEachSortedRun(std::vector<ValueId>& keys, size_t width,
-                      EmitRun&& emit) {
-  const size_t n = width == 0 ? 0 : keys.size() / width;
-  std::vector<int64_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int64_t>(i);
-  const ValueId* data = keys.data();
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const ValueId* ka = data + static_cast<size_t>(a) * width;
-    const ValueId* kb = data + static_cast<size_t>(b) * width;
-    return std::lexicographical_compare(ka, ka + width, kb, kb + width);
-  });
-  size_t i = 0;
-  while (i < n) {
-    const ValueId* ki = data + static_cast<size_t>(order[i]) * width;
-    size_t j = i + 1;
-    while (j < n) {
-      const ValueId* kj = data + static_cast<size_t>(order[j]) * width;
-      if (!std::equal(ki, ki + width, kj)) break;
-      ++j;
-    }
-    if (!emit(ki, static_cast<int64_t>(j - i))) return;
-    i = j;
-  }
-}
 
 }  // namespace
 
@@ -126,15 +77,20 @@ CountingEngine::Plan CountingEngine::MakePlan(AttrMask mask,
   const AttrMask parent = mask.Without(mask.MaxIndex());
   auto par = cache_.find(parent.bits());
   if (par == cache_.end() || par->second->num_groups() > budget) return plan;
+  for (uint64_t b = parent.bits(); b != 0; b &= b - 1) {
+    if (AttrHasNulls(std::countr_zero(b))) return plan;
+  }
+  if (LayoutOf(parent).ok) plan.parent = par->second;
+  return plan;
+}
+
+PackedLayout CountingEngine::LayoutOf(AttrMask mask) const {
   int64_t doms[kMaxAttributes];
   int width = 0;
-  for (uint64_t b = parent.bits(); b != 0; b &= b - 1) {
-    const int a = std::countr_zero(b);
-    if (AttrHasNulls(a)) return plan;
-    doms[width++] = DomSizeOf(a);
+  for (uint64_t b = mask.bits(); b != 0; b &= b - 1) {
+    doms[width++] = DomSizeOf(std::countr_zero(b));
   }
-  if (MakePackedLayout(doms, width).ok) plan.parent = par->second;
-  return plan;
+  return MakePackedLayout(doms, width);
 }
 
 SubsetColumns CountingEngine::ScanView(const std::vector<int>& attrs) const {
@@ -179,13 +135,8 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
         ComputePatternCounts(*table_, mask));
     return out;
   }
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) doms[j] = DomSizeOf(attrs[j]);
-
   const SubsetColumns view = ScanView(attrs);
-
-  const PackedLayout layout =
-      MakePackedLayout(doms, static_cast<int>(width));
+  const PackedLayout layout = LayoutOf(mask);
   if (layout.ok) {
     if (counting::PackedDenseCountEligible(layout, total_rows())) {
       // Small key space: one direct-addressing pass counts and
@@ -217,163 +168,28 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
     return out;
   }
 
-  bool encodable = false;
-  std::vector<int64_t> mult =
-      NullableRadixMultipliers(doms, width, &encodable);
-  if (!encodable) {
-    // Non-64-bit-encodable key space (corner regime). Without appended
-    // state the sort-based one-shot counters are the reference; with it
-    // the engine's own delta-aware sort fallback keeps the path total.
-    if (!has_appended_state()) {
-      out.size = CountDistinctPatterns(*table_, mask, budget);
-      if ((budget >= 0 && out.size > budget) || !materialize) return out;
-      out.counts = std::make_shared<const GroupCounts>(
-          ComputePatternCounts(*table_, mask));
-      out.full_scan = true;
-      return out;
-    }
-    return SortFallbackSizing(mask, budget, materialize);
-  }
-  // Mixed-radix one-pass: count *and* materialize, aborting once the
-  // distinct count blows the budget.
-  CodeCountMap counts(SizingReserve(budget, total_rows()));
-  auto add_row = [&](auto value_at) -> bool {
-    int64_t code = 0;
-    int arity = 0;
-    for (size_t j = 0; j < width; ++j) {
-      ValueId v = value_at(j);
-      int64_t slot;
-      if (IsNull(v)) {
-        slot = doms[j];
-      } else {
-        slot = static_cast<int64_t>(v);
-        ++arity;
-      }
-      code += slot * mult[j];
-    }
-    if (arity < 2) return true;
-    counts.Increment(code);
-    return !(budget >= 0 && counts.size() > budget);
-  };
-  const ValueId* cols[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) {
-    cols[j] = BaseColumn(attrs[j]);
-  }
-  ForEachSubsetRow(cols, base_rows(), delta_rows_.data(), num_delta_rows(),
-                   table_->num_attributes(), attrs.data(), add_row);
-  out.size = counts.size();
-  if ((budget >= 0 && out.size > budget) || !materialize) return out;
-  out.counts = std::make_shared<const GroupCounts>(
-      MaterializeFromCodes(mask, attrs, doms, mult, counts.Items()));
-  out.full_scan = true;
-  return out;
-}
-
-CountingEngine::Sizing CountingEngine::SortFallbackSizing(
-    AttrMask mask, int64_t budget, bool materialize) const {
-  Sizing out;
-  out.path = Path::kDirect;
-  const std::vector<int> attrs = mask.ToIndices();
-  const size_t width = attrs.size();
-  PCBL_DCHECK(width >= 2);
-  // Row-major restriction keys of arity >= 2 over base + delta rows;
-  // raw ValueIds, so no code space is needed at all.
-  std::vector<ValueId> keys;
-  keys.reserve(static_cast<size_t>(total_rows()) * width);
-  auto add_row = [&](auto value_at) {
-    int arity = 0;
-    const size_t base = keys.size();
-    keys.resize(base + width);
-    for (size_t j = 0; j < width; ++j) {
-      const ValueId v = value_at(j);
-      keys[base + j] = v;
-      arity += static_cast<int>(!IsNull(v));
-    }
-    if (arity < 2) keys.resize(base);  // drop low-arity restrictions
-    return true;
-  };
-  const ValueId* cols[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) cols[j] = BaseColumn(attrs[j]);
-  ForEachSubsetRow(cols, base_rows(), delta_rows_.data(), num_delta_rows(),
-                   table_->num_attributes(), attrs.data(), add_row);
-  if (!materialize) {
-    int64_t distinct = 0;
-    ForEachSortedRun(keys, width, [&](const ValueId*, int64_t) {
-      ++distinct;
-      return !(budget >= 0 && distinct > budget);
-    });
-    out.size = distinct;
-    return out;
-  }
-  // One sort serves both the sizing and (within budget) the
-  // materialization: runs emit in canonical order already.
+  // A subset that does not pack. Without appended state the one-shot
+  // counters (mixed-radix, then sort) see every row; with it, the sort
+  // fallback runs over the engine's own base and delta rows.
   GroupCounts counts;
-  GroupCountsAccess::mask(counts) = mask;
-  GroupCountsAccess::attrs(counts) = attrs;
-  std::vector<ValueId>& out_keys = GroupCountsAccess::keys(counts);
-  std::vector<int64_t>& out_counts = GroupCountsAccess::counts(counts);
-  bool aborted = false;
-  ForEachSortedRun(keys, width, [&](const ValueId* key, int64_t run) {
-    out_keys.insert(out_keys.end(), key, key + width);
-    out_counts.push_back(run);
-    if (budget >= 0 &&
-        static_cast<int64_t>(out_counts.size()) > budget) {
-      aborted = true;
-      return false;
-    }
-    return true;
-  });
-  out.size = counts.num_groups();
-  if (aborted) return out;
+  out.size = has_appended_state()
+                 ? counting::SortRestrictionCounts(
+                       view, mask, budget, materialize ? &counts : nullptr)
+                 : CountDistinctPatterns(*table_, mask, budget);
+  if ((budget >= 0 && out.size > budget) || !materialize) return out;
+  if (!has_appended_state()) counts = ComputePatternCounts(*table_, mask);
   out.counts = std::make_shared<const GroupCounts>(std::move(counts));
   out.full_scan = true;
   return out;
 }
 
-int64_t CountingEngine::SortFallbackCombos(AttrMask mask,
-                                           int64_t budget) const {
-  const std::vector<int> attrs = mask.ToIndices();
-  const size_t width = attrs.size();
-  // NULL-free combination keys over base + delta rows.
-  std::vector<ValueId> keys;
-  keys.reserve(static_cast<size_t>(total_rows()) * width);
-  auto add_row = [&](auto value_at) {
-    const size_t base = keys.size();
-    keys.resize(base + width);
-    for (size_t j = 0; j < width; ++j) {
-      const ValueId v = value_at(j);
-      if (IsNull(v)) {
-        keys.resize(base);
-        return true;
-      }
-      keys[base + j] = v;
-    }
-    return true;
-  };
-  const ValueId* cols[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) cols[j] = BaseColumn(attrs[j]);
-  ForEachSubsetRow(cols, base_rows(), delta_rows_.data(), num_delta_rows(),
-                   table_->num_attributes(), attrs.data(), add_row);
-  int64_t distinct = 0;
-  ForEachSortedRun(keys, width, [&](const ValueId*, int64_t) {
-    ++distinct;
-    return !(budget >= 0 && distinct > budget);
-  });
-  return distinct;
-}
-
 CountingEngine::Sizing CountingEngine::RollupSizing(
-    const GroupCounts& ancestor, AttrMask mask, int64_t budget) const {
+    const GroupCounts& ancestor, AttrMask mask, const PackedLayout& layout,
+    int64_t budget) const {
   Sizing out;
   out.path = Path::kRollup;
   std::vector<int> attrs = mask.ToIndices();
   const size_t width = attrs.size();
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) doms[j] = DomSizeOf(attrs[j]);
-  bool encodable = false;
-  std::vector<int64_t> mult =
-      NullableRadixMultipliers(doms, width, &encodable);
-  PCBL_DCHECK(encodable);  // caller checked
   // Position of each mask attribute inside the ancestor's (ascending)
   // attribute list.
   const std::vector<int>& anc_attrs = ancestor.attrs();
@@ -384,37 +200,36 @@ CountingEngine::Sizing CountingEngine::RollupSizing(
     PCBL_DCHECK(a < anc_attrs.size() && anc_attrs[a] == attrs[j]);
     pos[j] = static_cast<int>(a);
   }
-  // Aggregate ancestor groups instead of table rows. Exact because every
-  // tuple's restriction to `mask` is the projection of its restriction to
-  // the ancestor set, and tuples absent from the ancestor's PC set (arity
-  // < 2 there) project to arity < 2 here as well.
+  // Aggregate ancestor groups instead of table rows, keyed by the child's
+  // packed code. Exact because every tuple's restriction to `mask` is the
+  // projection of its restriction to the ancestor set, and tuples absent
+  // from the ancestor's PC set (arity < 2 there) project to arity < 2
+  // here as well.
   CodeCountMap counts(SizingReserve(budget, ancestor.num_groups()));
   const int64_t groups = ancestor.num_groups();
   for (int64_t g = 0; g < groups; ++g) {
     const ValueId* key = ancestor.key(g);
-    int64_t code = 0;
+    uint64_t code = 0;
     int arity = 0;
     for (size_t j = 0; j < width; ++j) {
-      ValueId v = key[pos[j]];
-      int64_t slot;
-      if (IsNull(v)) {
-        slot = doms[j];
-      } else {
-        slot = static_cast<int64_t>(v);
+      const ValueId v = key[pos[j]];
+      uint64_t slot = layout.null_slot[j];
+      if (!IsNull(v)) {
+        slot = static_cast<uint64_t>(v);
         ++arity;
       }
-      code += slot * mult[j];
+      code |= slot << layout.shift[j];
     }
     if (arity < 2) continue;
-    counts.Add(code, ancestor.count(g));
+    counts.Add(static_cast<int64_t>(code), ancestor.count(g));
     if (budget >= 0 && counts.size() > budget) {
       out.size = counts.size();
       return out;
     }
   }
   out.size = counts.size();
-  out.counts = std::make_shared<const GroupCounts>(
-      MaterializeFromCodes(mask, attrs, doms, mult, counts.Items()));
+  out.counts = std::make_shared<const GroupCounts>(MaterializeFromPackedCodes(
+      mask, std::move(attrs), layout, counts.Items()));
   return out;
 }
 
@@ -433,12 +248,9 @@ CountingEngine::Sizing CountingEngine::ExecutePlan(AttrMask mask,
     return std::move(SiblingSizings(*plan.parent, {mask}, budget)[0]);
   }
   if (plan.ancestor != nullptr && mask.Count() >= 2) {
-    std::vector<int> attrs = mask.ToIndices();
-    int64_t doms[kMaxAttributes];
-    for (size_t j = 0; j < attrs.size(); ++j) doms[j] = DomSizeOf(attrs[j]);
-    bool encodable = false;
-    NullableRadixMultipliers(doms, attrs.size(), &encodable);
-    if (encodable) return RollupSizing(*plan.ancestor, mask, budget);
+    // A child that does not pack is sized directly.
+    const PackedLayout layout = LayoutOf(mask);
+    if (layout.ok) return RollupSizing(*plan.ancestor, mask, layout, budget);
   }
   return DirectSizing(mask, budget, /*materialize=*/true, morsel_threads);
 }
@@ -447,10 +259,7 @@ std::vector<CountingEngine::Sizing> CountingEngine::SiblingSizings(
     const GroupCounts& parent, const std::vector<AttrMask>& masks,
     int64_t budget) const {
   const std::vector<int>& attrs = parent.attrs();
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < attrs.size(); ++j) doms[j] = DomSizeOf(attrs[j]);
-  const PackedLayout layout =
-      MakePackedLayout(doms, static_cast<int>(attrs.size()));
+  const PackedLayout layout = LayoutOf(parent.mask());
   std::vector<counting::RefineChild> children(masks.size());
   for (size_t i = 0; i < masks.size(); ++i) {
     const int a = masks[i].MaxIndex();
@@ -838,121 +647,6 @@ std::vector<int64_t> CountingEngine::CountPatternsBatchCollect(
     }
   }
   return sizes;
-}
-
-int64_t CountingEngine::CountCombos(AttrMask mask, int64_t budget) {
-  // Reference behaviour when there is nothing the one-shot counter cannot
-  // see; with appended rows (delta block or compacted base) every width
-  // goes through the delta-aware paths below.
-  if (!has_appended_state() && (!options_.enabled || mask.Count() < 2)) {
-    return CountDistinctCombos(*table_, mask, budget);
-  }
-  if (mask.empty()) return total_rows() > 0 ? 1 : 0;
-  std::vector<int> attrs = mask.ToIndices();
-  const size_t width = attrs.size();
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) doms[j] = DomSizeOf(attrs[j]);
-  // Disabled engines must not serve memoized answers.
-  Plan plan = (options_.enabled && width >= 2)
-                  ? MakePlan(mask, /*budget=*/-1)
-                  : Plan{};
-  if (plan.hit != nullptr) {
-    // Full combos are exactly the fully-bound groups of the PC set (each
-    // a distinct key), since |mask| >= 2 restrictions are all stored.
-    ++stats_.cache_hits;
-    const GroupCounts& pc = *plan.hit;
-    const int kw = pc.key_width();
-    int64_t combos = 0;
-    for (int64_t g = 0; g < pc.num_groups(); ++g) {
-      const ValueId* key = pc.key(g);
-      bool full = true;
-      for (int j = 0; j < kw; ++j) {
-        if (IsNull(key[j])) {
-          full = false;
-          break;
-        }
-      }
-      if (!full) continue;
-      ++combos;
-      if (budget >= 0 && combos > budget) return combos;
-    }
-    return combos;
-  }
-  // Non-null mixed-radix multipliers over the (effective) domains; the
-  // dense key space must fit an int64 for both the rollup and the
-  // delta-aware scan below.
-  bool encodable = true;
-  std::vector<int64_t> mult(width);
-  {
-    int64_t m = 1;
-    for (size_t j = width; j-- > 0;) {
-      mult[j] = m;
-      int64_t dom = std::max<int64_t>(1, doms[j]);
-      if (m > std::numeric_limits<int64_t>::max() / dom) {
-        encodable = false;
-        break;
-      }
-      m *= dom;
-    }
-  }
-  if (plan.ancestor != nullptr && encodable) {
-    ++stats_.rollups;
-    const std::vector<int>& anc_attrs = plan.ancestor->attrs();
-    int pos[kMaxAttributes];
-    size_t a = 0;
-    for (size_t j = 0; j < width; ++j) {
-      while (a < anc_attrs.size() && anc_attrs[a] < attrs[j]) ++a;
-      PCBL_DCHECK(a < anc_attrs.size() && anc_attrs[a] == attrs[j]);
-      pos[j] = static_cast<int>(a);
-    }
-    // Distinct fully-bound projections of the ancestor's groups. Exact:
-    // every tuple with a NULL-free mask combination has arity >= 2 in
-    // the ancestor set, so its group is present there.
-    CodeSet seen(SizingReserve(budget, plan.ancestor->num_groups()));
-    for (int64_t g = 0; g < plan.ancestor->num_groups(); ++g) {
-      const ValueId* key = plan.ancestor->key(g);
-      int64_t code = 0;
-      bool full = true;
-      for (size_t j = 0; j < width; ++j) {
-        ValueId v = key[pos[j]];
-        if (IsNull(v)) {
-          full = false;
-          break;
-        }
-        code += static_cast<int64_t>(v) * mult[j];
-      }
-      if (!full) continue;
-      if (seen.Insert(code) && budget >= 0 && seen.size() > budget) {
-        return seen.size();
-      }
-    }
-    return seen.size();
-  }
-  if (!has_appended_state()) {
-    ++stats_.direct_scans;
-    return CountDistinctCombos(*table_, mask, budget);
-  }
-  // Delta-aware combo scan (the one-shot counter cannot see the appended
-  // rows); non-encodable key spaces take the sort fallback.
-  ++stats_.direct_scans;
-  if (!encodable) return SortFallbackCombos(mask, budget);
-  const ValueId* cols[kMaxAttributes];
-  for (size_t j = 0; j < width; ++j) {
-    cols[j] = BaseColumn(attrs[j]);
-  }
-  CodeSet seen(SizingReserve(budget, total_rows()));
-  auto add_row = [&](auto value_at) -> bool {
-    int64_t code = 0;
-    for (size_t j = 0; j < width; ++j) {
-      ValueId v = value_at(j);
-      if (IsNull(v)) return true;
-      code += static_cast<int64_t>(v) * mult[j];
-    }
-    return !(seen.Insert(code) && budget >= 0 && seen.size() > budget);
-  };
-  ForEachSubsetRow(cols, base_rows(), delta_rows_.data(), num_delta_rows(),
-                   table_->num_attributes(), attrs.data(), add_row);
-  return seen.size();
 }
 
 std::shared_ptr<const GroupCounts> CountingEngine::PatternCounts(

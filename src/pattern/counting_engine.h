@@ -12,10 +12,11 @@
 //  1. Batching — a lattice level's candidate masks are sized together via
 //     CountPatternsBatch, spreading the independent scans over a
 //     ParallelFor.
-//  2. Kernels — packed-eligible subsets (packed_codec.h) are sized by the
-//     tiled bit-packed kernels of packed_kernels.h: shift/OR encoding,
-//     arity-2/3 specializations, dense-bitmap distinctness. Non-eligible
-//     subsets take the mixed-radix or sort paths of counter.h.
+//  2. Kernels — the engine counts on packed codes (packed_codec.h) only:
+//     subsets are sized by the tiled bit-packed kernels of
+//     packed_kernels.h (shift/OR encoding, arity-2/3 specializations,
+//     dense-bitmap distinctness), and rollups re-encode ancestor groups
+//     with the child's packed layout.
 //  3. Memoization — sizing a subset within budget materializes its full
 //     PC set as a by-product (same pass, same cost regime), and the
 //     result is cached per AttrMask in a size-bounded cache with
@@ -41,10 +42,10 @@
 //     is already the child's canonical order. Exact (unbudgeted) calls,
 //     pairs, NULL-bearing and uncached parents keep the direct scan.
 //
-// Fallbacks keep the engine total: masks whose nullable key space
-// overflows 64 bits, or for which no useful cached ancestor exists, take
-// the direct scan path of counter.h (or the engine's own delta-aware sort
-// fallback once rows were appended).
+// Fallbacks keep the engine total: a mask too wide to pack (more than 63
+// bits over the effective domains) is sized by the one-shot counters of
+// counter.h, or, once rows were appended, by the sort fallback over the
+// engine's own base and delta rows (counting::SortRestrictionCounts).
 //
 // The engine outlives a single search: CountingService (counting_service.h)
 // keeps one engine per dataset so that repeated queries hit warm PC sets,
@@ -59,7 +60,7 @@
 //
 // Thread-safety: the const probes (CachedPatternCounts, stats, table) are
 // safe to call concurrently with each other; the mutating calls
-// (CountPatterns*, CountCombos, PatternCounts, ApplyAppend, Reconfigure)
+// (CountPatterns*, PatternCounts, ApplyAppend, Reconfigure)
 // must be externally serialized (CountingService provides the lock).
 // CountPatternsBatch parallelizes internally and commits cache updates in
 // deterministic input order, so cache contents never depend on thread
@@ -83,6 +84,7 @@
 namespace pcbl {
 
 namespace counting {
+struct PackedLayout;
 struct SubsetColumns;
 }  // namespace counting
 
@@ -174,11 +176,6 @@ class CountingEngine {
       const std::vector<AttrMask>& masks, int64_t budget,
       std::vector<std::shared_ptr<const GroupCounts>>* counts_out);
 
-  /// Distinct non-NULL combinations over `mask`, same contract as
-  /// CountDistinctCombos. Served from the cache (exact entry or superset
-  /// rollup) when possible.
-  int64_t CountCombos(AttrMask mask, int64_t budget = -1);
-
   /// The full PC set of `mask`, identical to ComputePatternCounts.
   /// Served from the cache when possible; inserted into it otherwise.
   std::shared_ptr<const GroupCounts> PatternCounts(AttrMask mask);
@@ -226,7 +223,7 @@ class CountingEngine {
   /// exact against the extended data; subsequent scans include the rows.
   /// Fully general: works with a disabled engine (scans then route
   /// through the engine's uncached delta-aware paths) and with subsets
-  /// whose extended key space is not 64-bit-encodable (sort fallback).
+  /// too wide to pack over the extended domains (sort fallback).
   /// Once the delta block exceeds options().delta_compact_threshold the
   /// call finishes by folding it into the columnar base (CompactDeltas).
   void ApplyAppend(const std::vector<std::vector<ValueId>>& rows);
@@ -354,8 +351,11 @@ class CountingEngine {
   // `budget` < 0 (exact) never plans a refinement parent.
   Plan MakePlan(AttrMask mask, int64_t budget) const;
 
+  // Packed layout of `mask` over the effective domains (DomSizeOf).
+  counting::PackedLayout LayoutOf(AttrMask mask) const;
+
   // Column view of `attrs` over the effective base plus any uncompacted
-  // delta rows — what every packed scan streams.
+  // delta rows — what every scan streams.
   counting::SubsetColumns ScanView(const std::vector<int>& attrs) const;
 
   // Executes a plan (thread-safe: touches only the table and the plan's
@@ -368,23 +368,14 @@ class CountingEngine {
                      int morsel_threads = 1) const;
 
   // Full-scan sizing with budget abort; materializes counts on success.
+  // Packed subsets run the packed kernels; the rest go to the one-shot
+  // counters, or to the sort fallback once rows were appended.
   // `materialize = false` skips the PC-set materialization (and, on the
   // packed path, its second scan) for callers that only need the size —
   // the disabled-engine delegate, which cannot cache the counts anyway.
   Sizing DirectSizing(AttrMask mask, int64_t budget,
                       bool materialize = true,
                       int morsel_threads = 1) const;
-
-  // Sort-based sizing over base + delta rows for subsets whose nullable
-  // key space overflows 64 bits: materializes row-major restriction keys
-  // (arity >= 2), sorts lexicographically (the canonical order — see
-  // KeyLess), and run-counts. The general arm that keeps appends total.
-  Sizing SortFallbackSizing(AttrMask mask, int64_t budget,
-                            bool materialize) const;
-
-  // Sort-based distinct-combination count over base + delta rows (the
-  // non-encodable sibling of the delta-aware combo scan).
-  int64_t SortFallbackCombos(AttrMask mask, int64_t budget) const;
 
   // Sizes the gen() children `masks` (each parent.mask() plus one larger
   // attribute) from the parent's groups in one shared scan
@@ -394,9 +385,11 @@ class CountingEngine {
                                      const std::vector<AttrMask>& masks,
                                      int64_t budget) const;
 
-  // Aggregates `ancestor` groups down to `mask`; exact. Aborts past
-  // `budget` like DirectSizing. `mask`'s key space must be encodable.
+  // Aggregates `ancestor` groups down to `mask` over packed codes in
+  // `layout` (LayoutOf(mask), which must be ok); exact. Aborts past
+  // `budget` like DirectSizing.
   Sizing RollupSizing(const GroupCounts& ancestor, AttrMask mask,
+                      const counting::PackedLayout& layout,
                       int64_t budget) const;
 
   // Updates stats for one answered sizing and caches its counts.
@@ -414,8 +407,8 @@ class CountingEngine {
   void EvictToBudget();
 
   // Effective domain size of `attr`: the base table's, grown by appended
-  // rows' fresh codes. All codecs (packed, mixed-radix) run over these so
-  // delta codes encode/decode exactly as a rebuilt table would.
+  // rows' fresh codes. Every packed layout runs over these so delta codes
+  // encode/decode exactly as a rebuilt table would.
   int64_t DomSizeOf(int attr) const {
     return eff_dom_.empty()
                ? static_cast<int64_t>(table_->DomainSize(attr))

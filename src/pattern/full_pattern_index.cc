@@ -72,14 +72,32 @@ FullPatternIndex FullPatternIndex::Build(const Table& table) {
     return idx;
   }
 
+  std::vector<Group> groups;
+  if (width == 1) {
+    // ComputePatternCounts stores nothing below arity 2; a one-attribute
+    // P_A is the column's non-NULL value counts, keyed by the value.
+    std::vector<int64_t> per_value(static_cast<size_t>(table.DomainSize(0)),
+                                   0);
+    for (ValueId v : table.column(0)) {
+      if (!IsNull(v)) ++per_value[v];
+    }
+    for (size_t v = 0; v < per_value.size(); ++v) {
+      if (per_value[v] == 0) continue;
+      groups.push_back(Group{v, per_value[v]});
+      idx.rows_indexed_ += per_value[v];
+    }
+    idx.rows_skipped_ = table.num_rows() - idx.rows_indexed_;
+    EmitCanonical(
+        std::move(groups), width,
+        [](uint64_t v, ValueId* out) { *out = static_cast<ValueId>(v); },
+        &idx.codes_, &idx.counts_);
+    return idx;
+  }
+
   // The full-width PC set: restrictions of NULL-free rows bind every
   // attribute, so its NULL-free keys are exactly the full patterns.
-  // ComputePatternCounts stores nothing below arity 2; a one-attribute
-  // P_A is the column's value counts.
-  const AttrMask all = AttrMask::All(idx.width_);
-  const GroupCounts pc = width == 1 ? ComputeGroupCounts(table, all)
-                                    : ComputePatternCounts(table, all);
-  std::vector<Group> groups;
+  const GroupCounts pc =
+      ComputePatternCounts(table, AttrMask::All(idx.width_));
   groups.reserve(static_cast<size_t>(pc.num_groups()));
   for (int64_t g = 0; g < pc.num_groups(); ++g) {
     if (HasNull(pc.key(g), width)) continue;

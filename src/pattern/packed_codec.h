@@ -1,27 +1,24 @@
-// Bit-packed restriction codec: the fast sibling of the mixed-radix codec
-// in restriction_codec.h.
+// Bit-packed restriction codec: the code the CountingEngine counts on.
 //
 // A restriction over an attribute subset S is a tuple of *slots*, one per
 // attribute: slot = the ValueId for a bound attribute, |Dom| for NULL
-// (unbound). The mixed-radix codec combines slots with multiplies over
-// radix |Dom|+1; the packed codec instead gives each attribute a fixed
-// bit field of ceil(log2(|Dom|+1)) bits and combines slots with shifts
-// and ORs — no multiplies, and the per-attribute field extraction on
-// decode is a shift+mask.
+// (unbound). The packed codec gives each attribute a fixed bit field of
+// ceil(log2(|Dom|+1)) bits and combines slots with shifts and ORs; the
+// per-attribute field extraction on decode is a shift+mask.
 //
-// The two encodings are order-isomorphic: both are strictly monotone in
-// the lexicographic order of the slot tuple (attrs[0] most significant,
-// NULL sorting last per attribute, because the NULL slot |Dom| is the
-// largest slot value). Sorting packed codes therefore yields exactly the
-// canonical PC-set emission order of MaterializeFromCodes, which is what
-// keeps GroupCounts built from packed codes byte-identical to the
-// mixed-radix (and sort-fallback) paths — differential-tested in
-// pattern_packed_kernels_test.cc.
+// Packed codes are strictly monotone in the lexicographic order of the
+// slot tuple (attrs[0] most significant, NULL sorting last per attribute,
+// because the NULL slot |Dom| is the largest slot value). Sorting packed
+// codes therefore yields exactly the canonical PC-set emission order —
+// the order the one-shot counters' mixed-radix codes and the sort
+// fallback's raw keys also produce — which keeps GroupCounts built from
+// packed codes byte-identical to every other path (differential-tested
+// in pattern_packed_kernels_test.cc).
 //
 // Eligibility: the packed width Σ ceil(log2(|Dom|+1)) must fit in 63 bits
 // so codes remain non-negative int64s (the open-addressing containers use
-// -1 as the empty sentinel). 64- and 65-bit subsets fall back to the
-// mixed-radix or sort strategies; the boundary is covered by tests.
+// -1 as the empty sentinel). Wider subsets go to the one-shot counters or
+// the sort fallback; the 63/64/65-bit boundary is covered by tests.
 #ifndef PCBL_PATTERN_PACKED_CODEC_H_
 #define PCBL_PATTERN_PACKED_CODEC_H_
 
@@ -97,7 +94,7 @@ inline bool PackedEligible(const Table& table, AttrMask mask) {
 }
 
 /// Decodes a packed code back into per-attribute ValueIds (kNullValue for
-/// unbound positions) — the packed counterpart of DecodeRestriction.
+/// unbound positions).
 inline void DecodePacked(int64_t code, const PackedLayout& layout,
                          ValueId* out) {
   const uint64_t bits = static_cast<uint64_t>(code);
@@ -110,8 +107,8 @@ inline void DecodePacked(int64_t code, const PackedLayout& layout,
 
 /// Materializes (packed code, count) items as a GroupCounts. Sorting by
 /// packed code is sorting by the canonical emission order (see the header
-/// comment), so the result is byte-identical to MaterializeFromCodes over
-/// the same groups.
+/// comment), so the result is byte-identical to every other counting
+/// path over the same groups.
 inline GroupCounts MaterializeFromPackedCodes(
     AttrMask mask, std::vector<int> attrs, const PackedLayout& layout,
     std::vector<std::pair<int64_t, int64_t>> items) {

@@ -1,25 +1,28 @@
-// Shared internals of the pattern-counting layer: the nullable mixed-radix
-// restriction codec and the open-addressing code containers used by both
-// the one-shot counting functions (counter.cc) and the memoizing
-// CountingEngine. Not part of the public API surface — include only from
-// src/pattern.
+// Shared internals of the pattern-counting layer: build-time access to
+// GroupCounts, the open-addressing code containers used by the packed
+// kernels, the one-shot counters (counter.cc) and the CountingEngine, and
+// the sort fallback. Not part of the public API surface — include only
+// from src/pattern.
 //
-// A *restriction code* encodes one tuple's non-NULL restriction to an
-// attribute subset S as a single int64: each attribute contributes
-// |Dom| + 1 slots, the last one marking NULL (unbound). Codes order
-// restrictions by ascending mixed-radix value with NULL sorting last per
-// attribute — the canonical PC-set emission order.
+// A *restriction* is one tuple's non-NULL restriction to an attribute
+// subset S: one slot per attribute, the ValueId when bound and |Dom| when
+// NULL. The engine encodes restrictions as packed codes (packed_codec.h);
+// the one-shot counters keep a mixed-radix code, private to counter.cc,
+// for subsets too wide to pack. Every code order is the lexicographic
+// order of the slot tuple (NULL last per attribute) — the canonical
+// PC-set emission order — and the sort fallback sorts raw keys in that
+// same order, which keeps every path's output byte-identical.
 #ifndef PCBL_PATTERN_RESTRICTION_CODEC_H_
 #define PCBL_PATTERN_RESTRICTION_CODEC_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "pattern/counter.h"
 #include "relation/table.h"
+#include "util/attr_mask.h"
 #include "util/hash.h"
 
 namespace pcbl {
@@ -35,6 +38,19 @@ struct GroupCountsAccess {
 
 namespace counting {
 
+struct SubsetColumns;  // packed_kernels.h
+
+/// The sort fallback, and the counting layer's one sort-and-count-runs
+/// routine: gathers the arity >= 2 restrictions of `view`'s rows (base
+/// rows, then delta rows) to `mask` as row-major raw keys, sorts them
+/// lexicographically — the canonical order, kNullValue being the largest
+/// ValueId — and counts runs. Returns |P_S| with the early-exit contract
+/// of CountDistinctPatterns. With `out`, the runs are also written to it
+/// as the PC set of `mask` (complete only when the count is within the
+/// budget). Needs no code space, so it covers subsets of any width.
+int64_t SortRestrictionCounts(const SubsetColumns& view, AttrMask mask,
+                              int64_t budget, GroupCounts* out);
+
 /// Reservation hint for the code containers of one sizing pass. When a
 /// budget early-exit hint is present the pass inserts at most budget + 1
 /// distinct codes before aborting, so reserving budget + 2 makes it
@@ -45,100 +61,6 @@ inline size_t SizingReserve(int64_t budget, int64_t rows) {
   if (budget >= 0) return static_cast<size_t>(budget) + 2;
   return static_cast<size_t>(
       std::clamp<int64_t>(rows, 256, int64_t{1} << 16));
-}
-
-/// Mixed-radix multipliers over domain size + 1 (the extra slot encodes
-/// NULL), for restriction keys; dom_sizes[0] / attrs[0] is the most
-/// significant. Sets *ok to false (and returns a partial vector) when the
-/// key space overflows int64.
-inline std::vector<int64_t> NullableRadixMultipliers(
-    const int64_t* dom_sizes, size_t width, bool* ok) {
-  std::vector<int64_t> mult(width);
-  int64_t m = 1;
-  *ok = true;
-  for (size_t j = width; j-- > 0;) {
-    mult[j] = m;
-    int64_t dom = dom_sizes[j] + 1;
-    if (m > std::numeric_limits<int64_t>::max() / dom) {
-      *ok = false;
-      return mult;
-    }
-    m *= dom;
-  }
-  return mult;
-}
-
-inline std::vector<int64_t> NullableRadixMultipliers(
-    const Table& table, const std::vector<int>& attrs, bool* ok) {
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < attrs.size(); ++j) {
-    doms[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
-  }
-  return NullableRadixMultipliers(doms, attrs.size(), ok);
-}
-
-/// Decodes a restriction code back into per-attribute ValueIds (kNullValue
-/// for unbound positions), inverse of the encoding above.
-inline void DecodeRestriction(int64_t code, const int64_t* dom_sizes,
-                              size_t width,
-                              const std::vector<int64_t>& mult,
-                              ValueId* out) {
-  for (size_t j = 0; j < width; ++j) {
-    int64_t dom = dom_sizes[j];
-    int64_t slot = (code / mult[j]) % (dom + 1);
-    out[j] = slot == dom ? kNullValue : static_cast<ValueId>(slot);
-  }
-}
-
-inline void DecodeRestriction(int64_t code, const Table& table,
-                              const std::vector<int>& attrs,
-                              const std::vector<int64_t>& mult,
-                              ValueId* out) {
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < attrs.size(); ++j) {
-    doms[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
-  }
-  DecodeRestriction(code, doms, attrs.size(), mult, out);
-}
-
-/// Materializes a (code, count) list as a GroupCounts over `attrs`:
-/// sorts by code — the canonical emission order (ascending mixed-radix,
-/// NULL last per attribute) — and decodes each key via the nullable
-/// codec. ComputePatternCounts and the CountingEngine's mixed-radix path
-/// emit through this; the packed path emits through
-/// MaterializeFromPackedCodes, whose code order is isomorphic — which is
-/// what keeps every path's output byte-identical.
-inline GroupCounts MaterializeFromCodes(
-    AttrMask mask, const std::vector<int>& attrs, const int64_t* dom_sizes,
-    const std::vector<int64_t>& mult,
-    std::vector<std::pair<int64_t, int64_t>> items) {
-  std::sort(items.begin(), items.end());
-  GroupCounts out;
-  GroupCountsAccess::mask(out) = mask;
-  GroupCountsAccess::attrs(out) = attrs;
-  std::vector<ValueId>& keys = GroupCountsAccess::keys(out);
-  std::vector<int64_t>& counts = GroupCountsAccess::counts(out);
-  const size_t width = attrs.size();
-  keys.reserve(items.size() * width);
-  counts.reserve(items.size());
-  for (const auto& [code, c] : items) {
-    size_t base = keys.size();
-    keys.resize(base + width);
-    DecodeRestriction(code, dom_sizes, width, mult, keys.data() + base);
-    counts.push_back(c);
-  }
-  return out;
-}
-
-inline GroupCounts MaterializeFromCodes(
-    const Table& table, AttrMask mask, const std::vector<int>& attrs,
-    const std::vector<int64_t>& mult,
-    std::vector<std::pair<int64_t, int64_t>> items) {
-  int64_t doms[kMaxAttributes];
-  for (size_t j = 0; j < attrs.size(); ++j) {
-    doms[j] = static_cast<int64_t>(table.DomainSize(attrs[j]));
-  }
-  return MaterializeFromCodes(mask, attrs, doms, mult, std::move(items));
 }
 
 /// Open-addressing set of 64-bit codes for the sizing hot loop: the search
@@ -186,8 +108,9 @@ class CodeSet {
   int64_t rehashes() const { return rehashes_; }
 
  private:
-  // An improbable sentinel; real codes are non-negative mixed-radix
-  // values, so kEmpty can never collide.
+  // An improbable sentinel; real codes are non-negative (packed codes
+  // fit 63 bits, mixed-radix codes an int64), so kEmpty can never
+  // collide.
   static constexpr int64_t kEmpty = -1;
 
   void Grow() {

@@ -29,6 +29,7 @@
 #include "pattern/counter.h"
 #include "pattern/pattern.h"
 #include "pattern/service_registry.h"
+#include "server/wire.h"
 #include "tests/differential_harness.h"
 #include "util/str.h"
 #include "workload/datasets.h"
@@ -146,7 +147,7 @@ TEST(ApiConformanceTest, FocusSearchMatchesDirectLabelSearch) {
 
   LabelSearch direct(table);
   direct.SetEvaluationPatterns(std::make_shared<const PatternSet>(
-      PatternSet::OverAttributes(table, focus)));
+      testing::OraclePatternSet(table, focus)));
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
   const SearchResult want = direct.TopDown(reference_options);
@@ -527,7 +528,7 @@ Table BaseTable(const DifferentialWorkload& workload) {
 
 // Carried-over bug, fixed by this PR: a focus (custom-PatternSet)
 // search after Session::Append used to refuse with FailedPrecondition
-// because PatternSet::OverAttributes only sees the base table. The
+// because its pattern set was built from the base table only. The
 // session now derives the focus pattern set from the engine's PC sets
 // over the extended data — byte-identical to a from-scratch rebuild.
 TEST(ApiSessionTest, FocusSearchAfterAppendMatchesRebuild) {
@@ -546,7 +547,7 @@ TEST(ApiSessionTest, FocusSearchAfterAppendMatchesRebuild) {
     const AttrMask focus = AttrMask::FromIndices(indices);
     LabelSearch rebuilt(extended);
     rebuilt.SetEvaluationPatterns(std::make_shared<const PatternSet>(
-        PatternSet::OverAttributes(extended, focus)));
+        testing::OraclePatternSet(extended, focus)));
     SearchOptions reference_options;
     reference_options.size_bound = 40;
     const SearchResult want = rebuilt.TopDown(reference_options);
@@ -557,6 +558,85 @@ TEST(ApiSessionTest, FocusSearchAfterAppendMatchesRebuild) {
     ASSERT_TRUE(got.status.ok()) << got.status;
     ExpectSameSearchResult(got.search, want,
                            StrCat("focus arity ", indices.size()));
+  }
+}
+
+// The wire bytes of a search result with its timing and the engine's
+// service-global counters zeroed: the part of a reply that must not
+// depend on how the session counted.
+std::string CanonicalBytes(const QueryResult& result, const Table& table) {
+  server::wire::WireQueryResult wire =
+      server::wire::ToWireResult(result, table);
+  wire.search.stats.total_seconds = 0.0;
+  wire.search.stats.candidate_seconds = 0.0;
+  wire.search.stats.error_eval_seconds = 0.0;
+  wire.search.stats.counting = CountingEngineStats{};
+  server::wire::Writer writer;
+  server::wire::EncodeQueryResult(wire, &writer);
+  return writer.Take();
+}
+
+// One focus path for base and appended data alike: on base data the
+// session's focus set comes from the engine's PC set (the synced VC for
+// one attribute), and the search over it must be byte-identical on the
+// wire — ErrorReport and candidates included — to a direct search over
+// the plain group-by oracle's pattern set. Every cell takes one of three
+// values or NULL over a full grid (a quarter of the cells are NULL, and
+// every combination ties), and two skew rows lift a few combinations off
+// the grid: count ties remain at every focus width, and their order
+// decides what the early-termination scan evaluates.
+TEST(SessionFocusPathTest, BaseDataMatchesOraclePatternSet) {
+  DifferentialWorkload workload;
+  workload.attribute_names = {"a0", "a1", "a2", "a3", "a4"};
+  const std::vector<std::string> cells = {"x", "y", "z", ""};
+  for (int code = 0; code < 4 * 4 * 4 * 4 * 4; ++code) {
+    std::vector<std::string> row;
+    for (int a = 0, rest = code; a < 5; ++a, rest /= 4) {
+      row.push_back(cells[static_cast<size_t>(rest % 4)]);
+    }
+    workload.base_rows.push_back(std::move(row));
+  }
+  for (int copy = 0; copy < 40; ++copy) {
+    workload.base_rows.push_back({"x", "x", "x", "x", "x"});
+    workload.base_rows.push_back({"y", "", "y", "", "y"});
+  }
+  const Table table = BaseTable(workload);
+  auto session = OpenSession(PrivateDataset(table));
+  constexpr int64_t kBound = 30;
+  for (const auto& indices :
+       {std::vector<int>{2}, std::vector<int>{0, 3},
+        std::vector<int>{0, 1, 3, 4}}) {
+    const AttrMask focus = AttrMask::FromIndices(indices);
+    const std::string context = StrCat("focus width ", indices.size());
+    auto oracle = std::make_shared<const PatternSet>(
+        testing::OraclePatternSet(table, focus));
+    bool tie = false;
+    for (int64_t i = 1; i < oracle->size(); ++i) {
+      tie = tie || oracle->count(i - 1) == oracle->count(i);
+    }
+    ASSERT_TRUE(tie) << context << ": the workload has no count tie";
+
+    for (auto algorithm :
+         {QuerySpec::Algorithm::kTopDown, QuerySpec::Algorithm::kNaive}) {
+      LabelSearch direct(table);
+      direct.SetEvaluationPatterns(oracle);
+      SearchOptions options;
+      options.size_bound = kBound;
+      QueryResult want;
+      want.kind = QuerySpec::Kind::kLabelSearch;
+      want.total_rows = table.num_rows();
+      want.search = algorithm == QuerySpec::Algorithm::kNaive
+                        ? direct.Naive(options)
+                        : direct.TopDown(options);
+
+      QuerySpec spec = QuerySpec::LabelSearch(kBound, algorithm);
+      spec.focus = focus;
+      const QueryResult got = session->Run(spec);
+      ASSERT_TRUE(got.status.ok()) << context << ": " << got.status;
+      ExpectSameSearchResult(got.search, want.search, context);
+      EXPECT_EQ(CanonicalBytes(got, table), CanonicalBytes(want, table))
+          << context;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/search.h"
+#include "tests/differential_harness.h"
 #include "workload/datasets.h"
 
 namespace pcbl {
@@ -39,10 +40,13 @@ TEST(PatternSetTest, FromPatternsAndCountsValidates) {
   EXPECT_EQ(set->count(0), 9);
 }
 
+// The oracle's focus set (every value combination over the sensitive
+// attributes) carries each pattern's true count; the searches below
+// evaluate against it.
 TEST(PatternSetTest, OverAttributesMatchesGroupCounts) {
   Table t = workload::MakeFig2Demo();
   AttrMask sensitive = AttrMask::FromIndices({0, 2});  // gender, race
-  PatternSet set = PatternSet::OverAttributes(t, sensitive);
+  PatternSet set = testing::OraclePatternSet(t, sensitive);
   EXPECT_EQ(set.size(), 6);  // every gender x race combo appears
   int64_t total = 0;
   for (int64_t i = 0; i < set.size(); ++i) {
@@ -56,7 +60,7 @@ TEST(PatternSetTest, OverAttributesMatchesGroupCounts) {
 TEST(PatternSetEvaluateTest, ExactForCoveringLabel) {
   Table t = workload::MakeFig2Demo();
   AttrMask sensitive = AttrMask::FromIndices({0, 2});
-  PatternSet set = PatternSet::OverAttributes(t, sensitive);
+  PatternSet set = testing::OraclePatternSet(t, sensitive);
   LabelEstimator est(Label::Build(t, sensitive));
   ErrorReport r = EvaluateOverPatternSet(set, est, ErrorMode::kExact);
   EXPECT_DOUBLE_EQ(r.max_abs, 0.0);
@@ -65,7 +69,7 @@ TEST(PatternSetEvaluateTest, ExactForCoveringLabel) {
 
 TEST(PatternSetEvaluateTest, EarlyTerminationStopsOnDescendingCounts) {
   Table t = workload::MakeCompas(5000, 3).value();
-  PatternSet set = PatternSet::OverAttributes(
+  PatternSet set = testing::OraclePatternSet(
       t, AttrMask::FromIndices({0, 1, 2, 3}));
   // A weak label: VC only.
   LabelEstimator est(Label::Build(t, AttrMask()));
@@ -83,7 +87,7 @@ TEST(SearchWithPatternSetTest, SensitiveAttributesOnly) {
   Table t = workload::MakeCompas(5000, 3).value();
   AttrMask sensitive = AttrMask::FromIndices({0, 1, 2});
   auto set = std::make_shared<const PatternSet>(
-      PatternSet::OverAttributes(t, sensitive));
+      testing::OraclePatternSet(t, sensitive));
   LabelSearch search(t);
   search.SetEvaluationPatterns(set);
   SearchOptions options;

@@ -2,25 +2,31 @@
 // stack, byte-identical answers — the reusable fixture behind the
 // counting-service, incremental, and append-path suites.
 //
-// The paper's labels are exact artifacts: the engine's packed, mixed-radix
-// and sort codecs, its memoized/rollup/batched paths, and the append
-// machinery (delta block, patched entries, compacted base) must all
-// produce *byte-identical* PC sets, |P_S| values and combo counts, or
-// labels silently drift from the data they describe (the CM-sketch
-// baselines show what silent divergence looks like). The harness drives
+// The paper's labels are exact artifacts: the packed, mixed-radix and
+// sort strategies, the engine's memoized/rollup/batched paths, and the
+// append machinery (delta block, patched entries, compacted base) must
+// all produce *byte-identical* PC sets and |P_S| values, or labels
+// silently drift from the data they describe (the CM-sketch baselines
+// show what silent divergence looks like). The harness drives
 // the same base+append workload through a grid of configurations —
 // engine on/off, warm/cold cache, patch/invalidate arm, row-at-a-time vs
 // bulk appends, delta block vs compacted base — and asserts every
 // answer against the one-shot counters over a from-scratch rebuild of
 // the extended table, across every forced RestrictionStrategy.
+//
+// The plain group-by oracles live here too: the source tree counts only
+// restrictions (PC sets), so a test needing "every non-NULL value
+// combination over S with its count" builds it with a std::map.
 #ifndef PCBL_TESTS_DIFFERENTIAL_HARNESS_H_
 #define PCBL_TESTS_DIFFERENTIAL_HARNESS_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/pattern_set.h"
 #include "pattern/counter.h"
 #include "pattern/counting_service.h"
 #include "relation/table.h"
@@ -28,6 +34,22 @@
 
 namespace pcbl {
 namespace testing {
+
+/// The plain group-by oracle: every value combination over `mask` in
+/// rows with no NULL there, with its row count, in ascending key order.
+/// The empty mask gives one empty key counting every row (none for an
+/// empty table).
+std::map<std::vector<ValueId>, int64_t> OracleGroupBy(const Table& table,
+                                                      AttrMask mask);
+
+/// The focus pattern set of a session query over `mask`, built from
+/// OracleGroupBy: one pattern per combination, count-descending, ties in
+/// key order. `mask` must be non-empty.
+PatternSet OraclePatternSet(const Table& table, AttrMask mask);
+
+/// True when ∏(|Dom| + 1) over `mask` fits an int64 — when the one-shot
+/// counters' mixed-radix strategy applies.
+bool MixedRadixEncodable(const Table& table, AttrMask mask);
 
 /// A counting workload: attribute names, base rows, appended rows.
 /// Values are strings ("" = NULL), interned exactly as TableBuilder /
@@ -89,8 +111,8 @@ class DifferentialHarness {
   /// Runs one configuration: builds a CountingService over base(),
   /// optionally warms it, replays the appends through the service's
   /// group commit, optionally compacts, then asserts that
-  /// every attribute subset's PC set, |P_S| (budgeted and exact) and
-  /// combo count are byte-identical to the one-shot counters over
+  /// every attribute subset's PC set and |P_S| (budgeted and exact) are
+  /// byte-identical to the one-shot counters over
   /// reference() — which are themselves cross-checked across every
   /// eligible RestrictionStrategy. Returns the service so callers can
   /// assert configuration-specific stats on top.

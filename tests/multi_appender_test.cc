@@ -166,7 +166,7 @@ void ExpectMatchesRebuild(Session& session, const Dataset& dataset,
   const AttrMask focus = AttrMask::FromIndices({0, 1});
   LabelSearch focused(rebuilt);
   focused.SetEvaluationPatterns(std::make_shared<const PatternSet>(
-      PatternSet::OverAttributes(rebuilt, focus)));
+      testing::OraclePatternSet(rebuilt, focus)));
   const SearchResult want_focus = focused.TopDown(reference_options);
   QuerySpec focus_spec = QuerySpec::LabelSearch(kBound);
   focus_spec.focus = focus;

@@ -44,10 +44,8 @@ DifferentialWorkload HighCardinalityWorkload(uint64_t seed,
 TEST(AppendPathTest, NonEncodableSubsetsExistInTheWorkload) {
   DifferentialHarness harness(HighCardinalityWorkload(3, 20));
   const Table& t = harness.reference();
-  bool encodable = false;
-  counting::NullableRadixMultipliers(
-      t, AttrMask::All(t.num_attributes()).ToIndices(), &encodable);
-  ASSERT_FALSE(encodable)
+  ASSERT_FALSE(
+      testing::MixedRadixEncodable(t, AttrMask::All(t.num_attributes())))
       << "the workload no longer exercises the sort fallback";
 }
 
@@ -156,8 +154,8 @@ TEST(AppendPathTest, ThresholdTriggersCompactionAndClearsDelta) {
 TEST(AppendPathTest, CompactionFiringMidSweepStaysExact) {
   // A sizing sweep is underway (half the lattice sized, cache warm) when
   // appends arrive and cross the compaction threshold; the remainder of
-  // the sweep — rollups from patched ancestors, budgeted sizings, combo
-  // counts — must keep answering exactly against the extended data.
+  // the sweep — rollups from patched ancestors, budgeted sizings — must
+  // keep answering exactly against the extended data.
   DifferentialWorkload workload =
       RandomWorkload(23, /*attrs=*/5, /*base_rows=*/300, /*append_rows=*/18,
                      /*domain=*/6, /*append_domain=*/8,

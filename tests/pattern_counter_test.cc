@@ -1,15 +1,17 @@
-// Tests for group-by counting: the three strategies must agree, the
-// early-exit distinct count must be exact within budget, and NULL rows
-// must never produce patterns.
+// Tests for the one-shot restriction counters: every strategy agrees
+// with the plain group-by oracle on the NULL-free groups, PC sets carry
+// the group semantics of Example 2.10, and NULL rows never produce full
+// patterns.
 #include "pattern/counter.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "pattern/full_pattern_index.h"
+#include "tests/differential_harness.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
 #include "util/str.h"
@@ -17,26 +19,7 @@
 namespace pcbl {
 namespace {
 
-// Brute-force reference: counts distinct non-null combos via a std::map.
-std::map<std::vector<ValueId>, int64_t> ReferenceGroupBy(const Table& t,
-                                                         AttrMask mask) {
-  std::map<std::vector<ValueId>, int64_t> ref;
-  std::vector<int> attrs = mask.ToIndices();
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    std::vector<ValueId> key;
-    bool ok = true;
-    for (int a : attrs) {
-      ValueId v = t.value(r, a);
-      if (IsNull(v)) {
-        ok = false;
-        break;
-      }
-      key.push_back(v);
-    }
-    if (ok) ++ref[key];
-  }
-  return ref;
-}
+using testing::OracleGroupBy;
 
 // Random table with optional nulls for property sweeps.
 Table RandomTable(int attrs, int64_t rows, int domain, double null_prob,
@@ -64,29 +47,36 @@ Table RandomTable(int attrs, int64_t rows, int domain, double null_prob,
   return b->Build();
 }
 
+// The fully-bound groups of the PC set over `mask` under `strategy`
+// must be the oracle's groups, in the oracle's (ascending key) order,
+// and |P_S| must match the PC set's size.
 void ExpectMatchesReference(const Table& t, AttrMask mask,
-                            GroupByStrategy strategy) {
-  GroupCounts gc = ComputeGroupCounts(t, mask, strategy);
-  auto ref = ReferenceGroupBy(t, mask);
-  ASSERT_EQ(gc.num_groups(), static_cast<int64_t>(ref.size()));
+                            RestrictionStrategy strategy) {
+  const GroupCounts gc = ComputePatternCounts(t, mask, strategy);
+  EXPECT_EQ(CountDistinctPatterns(t, mask, -1, strategy), gc.num_groups());
+  const auto ref = OracleGroupBy(t, mask);
+  auto it = ref.begin();
   for (int64_t g = 0; g < gc.num_groups(); ++g) {
     std::vector<ValueId> key(gc.key(g), gc.key(g) + gc.key_width());
-    auto it = ref.find(key);
+    if (std::any_of(key.begin(), key.end(), IsNull)) continue;
     ASSERT_NE(it, ref.end()) << "unexpected group";
+    EXPECT_EQ(key, it->first);
     EXPECT_EQ(gc.count(g), it->second);
+    ++it;
   }
+  EXPECT_EQ(it, ref.end()) << "missing groups";
 }
 
 TEST(GroupCountsTest, Fig2PairCountsMatchExample210) {
   Table t = workload::MakeFig2Demo();
   // S = {age group, marital status}: 3 patterns of count 6 each.
-  GroupCounts gc = ComputeGroupCounts(t, AttrMask::FromIndices({1, 3}));
+  GroupCounts gc = ComputePatternCounts(t, AttrMask::FromIndices({1, 3}));
   EXPECT_EQ(gc.num_groups(), 3);
   for (int64_t g = 0; g < gc.num_groups(); ++g) {
     EXPECT_EQ(gc.count(g), 6);
   }
   // S' = {gender, age group}: sizes 3,3,6,6.
-  GroupCounts gc2 = ComputeGroupCounts(t, AttrMask::FromIndices({0, 1}));
+  GroupCounts gc2 = ComputePatternCounts(t, AttrMask::FromIndices({0, 1}));
   EXPECT_EQ(gc2.num_groups(), 4);
   std::multiset<int64_t> counts;
   for (int64_t g = 0; g < gc2.num_groups(); ++g) {
@@ -95,18 +85,11 @@ TEST(GroupCountsTest, Fig2PairCountsMatchExample210) {
   EXPECT_EQ(counts, (std::multiset<int64_t>{3, 3, 6, 6}));
 }
 
-TEST(GroupCountsTest, EmptyMaskGivesOneGroup) {
-  Table t = workload::MakeFig2Demo();
-  GroupCounts gc = ComputeGroupCounts(t, AttrMask());
-  EXPECT_EQ(gc.num_groups(), 1);
-  EXPECT_EQ(gc.count(0), t.num_rows());
-  EXPECT_EQ(gc.key_width(), 0);
-}
-
 TEST(GroupCountsTest, TotalCountExcludesNullRows) {
   Table t = RandomTable(3, 500, 4, 0.2, 99);
   AttrMask mask = AttrMask::FromIndices({0, 2});
-  GroupCounts gc = ComputeGroupCounts(t, mask);
+  // Over a pair, the stored restrictions are exactly the NULL-free rows.
+  GroupCounts gc = ComputePatternCounts(t, mask);
   int64_t expected = 0;
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     if (!IsNull(t.value(r, 0)) && !IsNull(t.value(r, 2))) ++expected;
@@ -116,35 +99,17 @@ TEST(GroupCountsTest, TotalCountExcludesNullRows) {
 
 TEST(GroupCountsTest, ToPatternRoundTrip) {
   Table t = workload::MakeFig2Demo();
-  GroupCounts gc = ComputeGroupCounts(t, AttrMask::FromIndices({1, 3}));
+  GroupCounts gc = ComputePatternCounts(t, AttrMask::FromIndices({1, 3}));
   for (int64_t g = 0; g < gc.num_groups(); ++g) {
     Pattern p = gc.ToPattern(g);
     EXPECT_EQ(CountMatches(t, p), gc.count(g));
   }
 }
 
-TEST(GroupCountsTest, StrategiesAgreeOnOrderAndContent) {
-  Table t = RandomTable(4, 800, 5, 0.1, 1234);
-  AttrMask mask = AttrMask::FromIndices({0, 1, 3});
-  GroupCounts dense = ComputeGroupCounts(t, mask, GroupByStrategy::kDense);
-  GroupCounts hash = ComputeGroupCounts(t, mask, GroupByStrategy::kHash);
-  GroupCounts sort = ComputeGroupCounts(t, mask, GroupByStrategy::kSort);
-  ASSERT_EQ(dense.num_groups(), hash.num_groups());
-  ASSERT_EQ(dense.num_groups(), sort.num_groups());
-  for (int64_t g = 0; g < dense.num_groups(); ++g) {
-    for (int j = 0; j < dense.key_width(); ++j) {
-      EXPECT_EQ(dense.key(g)[j], hash.key(g)[j]);
-      EXPECT_EQ(dense.key(g)[j], sort.key(g)[j]);
-    }
-    EXPECT_EQ(dense.count(g), hash.count(g));
-    EXPECT_EQ(dense.count(g), sort.count(g));
-  }
-}
-
 // Property sweep over strategies x table shapes: every strategy matches
 // the brute-force reference.
 struct CounterCase {
-  GroupByStrategy strategy;
+  RestrictionStrategy strategy;
   int attrs;
   int64_t rows;
   int domain;
@@ -156,9 +121,11 @@ class CounterPropertyTest : public ::testing::TestWithParam<CounterCase> {};
 TEST_P(CounterPropertyTest, MatchesBruteForce) {
   const CounterCase& c = GetParam();
   Table t = RandomTable(c.attrs, c.rows, c.domain, c.null_prob, 4242);
-  // Try several masks of different arity.
+  // Masks of different arity; one attribute stores no restriction.
+  EXPECT_EQ(ComputePatternCounts(t, AttrMask::Single(0), c.strategy)
+                .num_groups(),
+            0);
   std::vector<AttrMask> masks = {
-      AttrMask::Single(0),
       AttrMask::FromIndices({0, c.attrs - 1}),
       AttrMask::All(c.attrs),
   };
@@ -170,61 +137,22 @@ TEST_P(CounterPropertyTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CounterPropertyTest,
     ::testing::Values(
-        CounterCase{GroupByStrategy::kDense, 3, 200, 3, 0.0},
-        CounterCase{GroupByStrategy::kDense, 3, 200, 3, 0.3},
-        CounterCase{GroupByStrategy::kDense, 5, 1000, 4, 0.05},
-        CounterCase{GroupByStrategy::kHash, 3, 200, 3, 0.0},
-        CounterCase{GroupByStrategy::kHash, 5, 1000, 4, 0.3},
-        CounterCase{GroupByStrategy::kHash, 2, 50, 8, 0.5},
-        CounterCase{GroupByStrategy::kSort, 3, 200, 3, 0.0},
-        CounterCase{GroupByStrategy::kSort, 5, 1000, 4, 0.3},
-        CounterCase{GroupByStrategy::kSort, 2, 50, 8, 0.5},
-        CounterCase{GroupByStrategy::kAuto, 6, 2000, 3, 0.1}));
-
-TEST(CountDistinctTest, ExactWithoutBudget) {
-  Table t = RandomTable(4, 500, 4, 0.1, 777);
-  for (AttrMask m : {AttrMask::Single(1), AttrMask::FromIndices({0, 2}),
-                     AttrMask::All(4)}) {
-    auto ref = ReferenceGroupBy(t, m);
-    EXPECT_EQ(CountDistinctCombos(t, m),
-              static_cast<int64_t>(ref.size()));
-  }
-}
-
-TEST(CountDistinctTest, EarlyExitNeverUnderBudget) {
-  Table t = RandomTable(4, 2000, 6, 0.0, 888);
-  AttrMask m = AttrMask::All(4);
-  int64_t exact = CountDistinctCombos(t, m);
-  ASSERT_GT(exact, 50);
-  for (int64_t budget : {1, 10, 50}) {
-    int64_t v = CountDistinctCombos(t, m, budget);
-    EXPECT_GT(v, budget);  // correctly reports "over budget"
-  }
-  // Budget at or above the true count returns the exact value.
-  EXPECT_EQ(CountDistinctCombos(t, m, exact), exact);
-  EXPECT_EQ(CountDistinctCombos(t, m, exact + 100), exact);
-}
-
-TEST(CountDistinctTest, EmptyMask) {
-  Table t = RandomTable(2, 10, 2, 0.0, 1);
-  EXPECT_EQ(CountDistinctCombos(t, AttrMask()), 1);
-  auto b = TableBuilder::Create({"x"});
-  ASSERT_TRUE(b.ok());
-  Table empty = b->Build();
-  EXPECT_EQ(CountDistinctCombos(empty, AttrMask()), 0);
-}
-
-TEST(DenseKeySpaceTest, ProductAndOverflow) {
-  Table t = RandomTable(3, 10, 4, 0.0, 2);
-  EXPECT_EQ(DenseKeySpace(t, AttrMask::All(3)).value(), 64);
-  EXPECT_EQ(DenseKeySpace(t, AttrMask()).value(), 1);
-}
+        CounterCase{RestrictionStrategy::kPacked, 3, 200, 3, 0.0},
+        CounterCase{RestrictionStrategy::kPacked, 3, 200, 3, 0.3},
+        CounterCase{RestrictionStrategy::kPacked, 5, 1000, 4, 0.05},
+        CounterCase{RestrictionStrategy::kMixedRadix, 3, 200, 3, 0.0},
+        CounterCase{RestrictionStrategy::kMixedRadix, 5, 1000, 4, 0.3},
+        CounterCase{RestrictionStrategy::kMixedRadix, 2, 50, 8, 0.5},
+        CounterCase{RestrictionStrategy::kSort, 3, 200, 3, 0.0},
+        CounterCase{RestrictionStrategy::kSort, 5, 1000, 4, 0.3},
+        CounterCase{RestrictionStrategy::kSort, 2, 50, 8, 0.5},
+        CounterCase{RestrictionStrategy::kAuto, 6, 2000, 3, 0.1}));
 
 TEST(FullPatternIndexTest, CountsAndOrder) {
   Table t = workload::MakeFig2Demo();
   FullPatternIndex idx = FullPatternIndex::Build(t);
   // 18 rows, all distinct? Check against reference.
-  auto ref = ReferenceGroupBy(t, AttrMask::All(4));
+  auto ref = OracleGroupBy(t, AttrMask::All(4));
   EXPECT_EQ(idx.num_patterns(), static_cast<int64_t>(ref.size()));
   EXPECT_EQ(idx.rows_indexed(), 18);
   EXPECT_EQ(idx.rows_skipped(), 0);

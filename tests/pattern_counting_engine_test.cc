@@ -5,6 +5,10 @@
 // non-64-bit-encodable) tables.
 #include "pattern/counting_engine.h"
 
+#include <algorithm>
+#include <bit>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +16,7 @@
 #include "core/search.h"
 #include "pattern/counter.h"
 #include "pattern/lattice.h"
+#include "tests/differential_harness.h"
 #include "util/rng.h"
 #include "workload/datasets.h"
 #include "util/str.h"
@@ -125,20 +130,11 @@ void CheckAllMasks(const Table& t, const CountingEngineOptions& options,
     }
     ExpectSameGroupCounts(*engine.PatternCounts(s),
                           ComputePatternCounts(t, s), s);
-    const int64_t combos = CountDistinctCombos(t, s);
-    EXPECT_EQ(engine.CountCombos(s), combos) << s.ToString();
-    const int64_t combo_budget = combos / 2;
-    const int64_t got = engine.CountCombos(s, combo_budget);
-    if (combos <= combo_budget) {
-      EXPECT_EQ(got, combos) << s.ToString();
-    } else {
-      EXPECT_GT(got, combo_budget) << s.ToString();
-    }
   });
 }
 
 class CountingEngineDifferentialTest
-    : public testing::TestWithParam<uint64_t> {};
+    : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CountingEngineDifferentialTest, MatchesOneShotCountersNullHeavy) {
   Table t = RandomTable(GetParam(), /*null_percent=*/20);
@@ -157,7 +153,7 @@ TEST_P(CountingEngineDifferentialTest, MatchesOneShotCountersNullFree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CountingEngineDifferentialTest,
-                         testing::Values(1, 2, 3, 4, 5));
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(CountingEngineTest, BatchMatchesSerialForAnyThreadCount) {
   Table t = RandomTable(77, /*null_percent=*/10);
@@ -253,7 +249,6 @@ TEST(CountingEngineTest, DisabledEngineDelegates) {
   CountingEngine engine(t, options);
   ForEachSubsetOf(AttrMask::All(t.num_attributes()), [&](AttrMask s) {
     EXPECT_EQ(engine.CountPatterns(s), CountDistinctPatterns(t, s));
-    EXPECT_EQ(engine.CountCombos(s), CountDistinctCombos(t, s));
     ExpectSameGroupCounts(*engine.PatternCounts(s),
                           ComputePatternCounts(t, s), s);
   });
@@ -264,7 +259,7 @@ TEST(CountingEngineTest, WideDomainsUseSortFallbackAndStayExact) {
   Table t = WideDomainTable(2021);
   const AttrMask all = AttrMask::All(4);
   // The nullable key space of all four attributes overflows 64 bits.
-  ASSERT_FALSE(DenseKeySpace(t, all).has_value());
+  ASSERT_FALSE(testing::MixedRadixEncodable(t, all));
   CountingEngine engine(t);
   ForEachSubsetOf(all, [&](AttrMask s) {
     EXPECT_EQ(engine.CountPatterns(s), CountDistinctPatterns(t, s))
@@ -332,6 +327,205 @@ TEST(CountingEngineTest, Fig2DemoAgreesThroughEveryPath) {
     EXPECT_EQ(cold.CountPatterns(s), want) << s.ToString();  // cache hit
     EXPECT_EQ(primed.CountPatterns(s), want) << s.ToString();  // rollup
   });
+}
+
+// --- Packed-only counting ------------------------------------------------
+//
+// The engine counts on packed codes only: a rollup re-encodes the cached
+// ancestor's groups with the child's packed layout over the effective
+// domains, and a subset too wide to pack is sized directly (one-shot
+// counters, or the sort fallback over base + delta rows once rows were
+// appended). Every answer must equal the one-shot counters over a table
+// rebuilt with the appended rows.
+
+// Interns exactly doms[a] values per attribute, so domain sizes (and with
+// them packed field widths) are chosen by the test, then adds `rows`.
+Table CodesTable(const std::vector<int64_t>& doms,
+                 const std::vector<std::vector<ValueId>>& rows) {
+  std::vector<std::string> names;
+  for (size_t a = 0; a < doms.size(); ++a) names.push_back(StrCat("a", a));
+  auto b = TableBuilder::Create(names);
+  PCBL_CHECK(b.ok());
+  for (size_t a = 0; a < doms.size(); ++a) {
+    for (int64_t v = 0; v < doms[a]; ++v) {
+      b->InternValue(static_cast<int>(a), StrCat("v", v));
+    }
+  }
+  for (const std::vector<ValueId>& row : rows) {
+    PCBL_CHECK(b->AddRowCodes(row).ok());
+  }
+  return b->Build();
+}
+
+// `rows` rows drawn from `templates` random rows, so groups repeat and a
+// cached wide subset is a useful rollup ancestor. Cells are NULL with
+// `null_percent` probability; otherwise the top code of the domain with
+// probability 1/4, which fills the highest bits of each packed field.
+std::vector<std::vector<ValueId>> TemplateRows(
+    Rng& rng, const std::vector<int64_t>& doms, int templates, int64_t rows,
+    int null_percent) {
+  std::vector<std::vector<ValueId>> pool;
+  for (int t = 0; t < templates; ++t) {
+    std::vector<ValueId> row;
+    for (int64_t dom : doms) {
+      ValueId v = rng.UniformInt(4) == 0
+                      ? static_cast<ValueId>(dom - 1)
+                      : rng.UniformInt(static_cast<uint32_t>(dom));
+      if (rng.UniformInt(100) < static_cast<uint32_t>(null_percent)) {
+        v = kNullValue;
+      }
+      row.push_back(v);
+    }
+    pool.push_back(std::move(row));
+  }
+  std::vector<std::vector<ValueId>> out;
+  for (int64_t r = 0; r < rows; ++r) {
+    out.push_back(pool[rng.UniformInt(static_cast<uint32_t>(templates))]);
+  }
+  return out;
+}
+
+// Domain sizes a table rebuilt with `rows` would get: each grown past the
+// largest code present.
+std::vector<int64_t> GrownDomains(
+    std::vector<int64_t> doms, const std::vector<std::vector<ValueId>>& rows) {
+  for (const std::vector<ValueId>& row : rows) {
+    for (size_t a = 0; a < doms.size(); ++a) {
+      if (!IsNull(row[a])) {
+        doms[a] = std::max<int64_t>(doms[a], int64_t{row[a]} + 1);
+      }
+    }
+  }
+  return doms;
+}
+
+// Packed width of `mask` over the engine's effective domains.
+int EffectiveBits(const CountingEngine& engine, AttrMask mask) {
+  int bits = 0;
+  for (int a : mask.ToIndices()) {
+    bits += std::bit_width(
+        static_cast<uint64_t>(engine.EffectiveDomainSize(a)));
+  }
+  return bits;
+}
+
+// Sizes `mask` once at `budget` and checks the budget contract against
+// `exact`, and that the sizing took the rollup path exactly when the mask
+// packs (a direct scan otherwise).
+void ExpectSizing(CountingEngine& engine, AttrMask mask, int64_t budget,
+                  int64_t exact, const std::string& context) {
+  const CountingEngineStats before = engine.stats();
+  const int64_t got = engine.CountPatterns(mask, budget);
+  const std::string ctx =
+      StrCat(context, " ", mask.ToString(), " budget ", budget);
+  if (budget < 0 || exact <= budget) {
+    EXPECT_EQ(got, exact) << ctx;
+  } else {
+    EXPECT_GT(got, budget) << ctx;
+  }
+  const bool packs = EffectiveBits(engine, mask) <= 63;
+  EXPECT_EQ(engine.stats().rollups - before.rollups, packs ? 1 : 0) << ctx;
+  EXPECT_EQ(engine.stats().direct_scans - before.direct_scans, packs ? 0 : 1)
+      << ctx;
+}
+
+TEST(CountingEnginePackedOnlyTest, RollupMatchesRebuildAcrossFieldBounds) {
+  // Base domains put fields at 2, 3, 1, 4, 2 and 3 bits. The appended
+  // rows mint the next code of a0, a1 and a3 (3, 7 and 15), so those
+  // effective domains cross a power of two and their fields widen by one
+  // bit: a rollup layout sized from the base table would read the fresh
+  // codes as NULL. 40% NULL cells make the ancestors NULL-heavy.
+  Rng rng(20);
+  const std::vector<int64_t> doms = {3, 7, 1, 15, 2, 5};
+  const auto base_rows = TemplateRows(rng, doms, 30, 400, 40);
+  auto appended = TemplateRows(rng, doms, 8, 60, 40);
+  for (size_t r = 0; r < appended.size(); r += 2) {
+    appended[r][0] = 3;
+    appended[r][1] = 7;
+    if (r % 4 == 0) appended[r][3] = 15;
+  }
+  const Table base = CodesTable(doms, base_rows);
+  std::vector<std::vector<ValueId>> all = base_rows;
+  all.insert(all.end(), appended.begin(), appended.end());
+  const Table rebuilt = CodesTable(GrownDomains(doms, appended), all);
+  const AttrMask universe = AttrMask::All(static_cast<int>(doms.size()));
+
+  for (bool prime_before_append : {true, false}) {
+    for (bool compact : {false, true}) {
+      const std::string context =
+          StrCat(prime_before_append ? "patched" : "scanned", "/",
+                 compact ? "compacted" : "delta");
+      CountingEngine engine(base);
+      // The pinned universe is every subset's rollup ancestor: patched
+      // by the append, or scanned over base + delta rows.
+      if (prime_before_append) engine.PinnedPatternCounts(universe);
+      engine.ApplyAppend(appended);
+      if (compact) engine.CompactDeltas();
+      if (!prime_before_append) engine.PinnedPatternCounts(universe);
+      ASSERT_EQ(EffectiveBits(engine, universe), 18) << context;
+      ExpectSameGroupCounts(*engine.PinnedPatternCounts(universe),
+                            ComputePatternCounts(rebuilt, universe),
+                            universe);
+      ForEachSubsetOf(universe, [&](AttrMask s) {
+        if (s.Count() < 2 || s == universe) return;
+        const GroupCounts want = ComputePatternCounts(rebuilt, s);
+        const int64_t exact = want.num_groups();
+        if (exact > 0) ExpectSizing(engine, s, exact - 1, exact, context);
+        ExpectSizing(engine, s, exact, exact, context);
+        ExpectSameGroupCounts(*engine.PatternCounts(s), want, s);
+      });
+    }
+  }
+}
+
+TEST(CountingEnginePackedOnlyTest, ChildrenAcrossThePackedWidthLimit) {
+  // Six 10-bit fields plus one of 2, 3 or 4 bits put children of the
+  // (70-bit, unpackable) universe at 62, 63 and 64 bits; adding a9 gives
+  // 65 and 66. Packed children roll up from the universe; wider ones are
+  // sized directly, by the one-shot counters on the base table and by
+  // the sort fallback once rows were appended (a9's fresh code widens
+  // its field to 2 bits there).
+  Rng rng(21);
+  const std::vector<int64_t> doms = {1023, 1023, 1023, 1023, 1023,
+                                     1023, 3,    7,    15,   1};
+  const auto base_rows = TemplateRows(rng, doms, 25, 300, 15);
+  auto appended = TemplateRows(rng, doms, 6, 40, 15);
+  for (size_t r = 0; r < appended.size(); r += 3) appended[r][9] = 1;
+  const AttrMask wide = AttrMask::FromIndices({0, 1, 2, 3, 4, 5});
+  const std::vector<AttrMask> children = {
+      wide.With(6), wide.With(7), wide.With(8), wide.With(8).With(9),
+      wide.With(7).With(9)};
+  const AttrMask universe = AttrMask::All(static_cast<int>(doms.size()));
+  const Table base = CodesTable(doms, base_rows);
+
+  for (bool append : {false, true}) {
+    std::vector<std::vector<ValueId>> all = base_rows;
+    if (append) all.insert(all.end(), appended.begin(), appended.end());
+    const Table rebuilt =
+        CodesTable(append ? GrownDomains(doms, appended) : doms, all);
+    const std::string context = append ? "appended" : "base";
+    std::set<int> widths;
+    for (AttrMask child : children) {
+      const GroupCounts want = ComputePatternCounts(rebuilt, child);
+      const int64_t exact = want.num_groups();
+      ASSERT_GT(exact, 1) << context;
+      for (int64_t budget : {int64_t{-1}, int64_t{0}, exact - 1, exact}) {
+        CountingEngine engine(base);
+        if (append) engine.ApplyAppend(appended);
+        engine.PinnedPatternCounts(universe);
+        ASSERT_GT(EffectiveBits(engine, universe), 63) << context;
+        widths.insert(EffectiveBits(engine, child));
+        ExpectSizing(engine, child, budget, exact, context);
+        if (budget < 0 || budget == exact) {
+          ExpectSameGroupCounts(*engine.PatternCounts(child), want, child);
+        }
+      }
+    }
+    for (int bits : {62, 63, 64, 65}) {
+      EXPECT_TRUE(widths.contains(bits)) << context << ": no " << bits
+                                         << "-bit child";
+    }
+  }
 }
 
 }  // namespace

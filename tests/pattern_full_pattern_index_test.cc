@@ -22,8 +22,8 @@
 #include <gtest/gtest.h>
 
 #include "pattern/packed_codec.h"
-#include "pattern/restriction_codec.h"
 #include "relation/table.h"
+#include "tests/differential_harness.h"
 #include "util/str.h"
 #include "workload/datasets.h"
 
@@ -217,11 +217,8 @@ int PackedBits(const Table& table) {
 }
 
 bool MixedRadixFits(const Table& table) {
-  std::vector<int> attrs;
-  for (int a = 0; a < table.num_attributes(); ++a) attrs.push_back(a);
-  bool ok = false;
-  counting::NullableRadixMultipliers(table, attrs, &ok);
-  return ok;
+  return testing::MixedRadixEncodable(
+      table, AttrMask::All(table.num_attributes()));
 }
 
 void CheckBuild(const Table& table, const std::string& context) {

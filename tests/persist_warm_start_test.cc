@@ -97,8 +97,8 @@ TEST(WarmStartTest, RestoredRegistryAnswersFirstSearchWithoutFullScans) {
 TEST(WarmStartTest, DifferentialGridAcrossEngineThreadsAndAppends) {
   // The restored service must answer byte-identically to the one-shot
   // counters under every configuration, before and after post-restore
-  // appends — CheckServiceAgainst asserts every subset's PC set, |P_S|
-  // (budgeted and exact) and combo count.
+  // appends — CheckServiceAgainst asserts every subset's PC set and
+  // |P_S| (budgeted and exact).
   const testing::DifferentialWorkload workload = testing::RandomWorkload(
       /*seed=*/23, /*attrs=*/4, /*base_rows=*/300, /*append_rows=*/40,
       /*domain=*/5, /*append_domain=*/8, /*null_percent=*/10);
@@ -265,7 +265,7 @@ TEST(WarmStartTest, SharedSpillDirRaceStaysValidOrMiss) {
   const std::string dir = FreshDir("warm_race");
   Table table = workload::MakeCompas(500, 41).value();
   const GroupCounts want =
-      ComputeGroupCounts(table, AttrMask::FromIndices({0, 1}));
+      ComputePatternCounts(table, AttrMask::FromIndices({0, 1}));
 
   ServiceRegistry a;
   a.SetSpillDirectory(dir);

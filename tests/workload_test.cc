@@ -11,6 +11,7 @@
 #include "core/search.h"
 #include "pattern/counter.h"
 #include "relation/stats.h"
+#include "tests/differential_harness.h"
 #include "workload/generator.h"
 
 namespace pcbl {
@@ -164,19 +165,21 @@ TEST(CompasTest, ScoreCliqueIsNearFunctional) {
       t.schema().FindAttribute("RecSupervisionLevelText").value();
   // DisplayText is a function of Scale_ID: the pair has exactly
   // |Dom(Scale_ID)| combinations.
-  EXPECT_EQ(CountDistinctCombos(
-                t, AttrMask::FromIndices({scale, display})),
-            3);
-  EXPECT_EQ(CountDistinctCombos(
-                t, AttrMask::FromIndices({rec, rec_text})),
-            4);
+  EXPECT_EQ(testing::OracleGroupBy(
+                t, AttrMask::FromIndices({scale, display})).size(),
+            3u);
+  EXPECT_EQ(testing::OracleGroupBy(
+                t, AttrMask::FromIndices({rec, rec_text})).size(),
+            4u);
   // The whole 6-attribute clique stays small (near-functional), which is
   // what lets the search pick it under a 100-pattern budget.
   int decile = t.schema().FindAttribute("DecileScore").value();
   int score_text = t.schema().FindAttribute("ScoreText").value();
-  int64_t clique = CountDistinctCombos(
-      t, AttrMask::FromIndices(
-             {scale, display, decile, score_text, rec, rec_text}));
+  const int64_t clique = static_cast<int64_t>(
+      testing::OracleGroupBy(
+          t, AttrMask::FromIndices(
+                 {scale, display, decile, score_text, rec, rec_text}))
+          .size());
   EXPECT_LE(clique, 150);
   EXPECT_GE(clique, 30);
 }
